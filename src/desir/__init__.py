@@ -27,14 +27,6 @@ from .preferences import (
     from_desirset,
     interpolate_strict_superset,
 )
-from .previsions import (
-    LowerPrevision,
-    conditional_lower_prevision,
-    conditional_natural_extension,
-    lower_prevision,
-    represents_complete,
-    upper_prevision,
-)
 from .products import (
     independent_natural_extension,
     irrelevant_product_set,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .cones import (
@@ -244,29 +243,22 @@ def run_command(doc: ProblemDocument, tokens: Sequence[str]) -> list[str]:
     raise InputError(f"unknown command {cmd!r}")
 
 
-def run_script(doc: ProblemDocument, text: str, jobs: int = 1) -> str:
-    commands = []
+def run_script(doc: ProblemDocument, text: str) -> str:
+    out = []
     for raw in text.splitlines():
         line = raw.strip()
         if line and not line.startswith("#"):
-            commands.append(line)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda c: run_command(doc, c.split()), commands)
-            )
-    else:
-        results = [run_command(doc, c.split()) for c in commands]
-    out = []
-    for command, answer in zip(commands, results):
-        out.append("> " + command)
-        out.extend(answer)
+            out.append("> " + line)
+            out.extend(run_command(doc, line.split()))
     return "\n".join(out) + ("\n" if out else "")
 
 
-def _load(path: str) -> ProblemDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -283,17 +275,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="attach a replay-verified certificate (member only)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel queries (run)")
     ns = parser.parse_args(argv)
 
     try:
-        doc = _load(ns.document)
+        doc = parse_document(_read(ns.document))
         if ns.command == "run":
             if len(ns.args) != 1:
                 raise InputError("usage: desir run DOC SCRIPT")
-            with open(ns.args[0], "r", encoding="utf-8") as fh:
-                script = fh.read()
-            sys.stdout.write(run_script(doc, script, jobs=ns.jobs))
+            sys.stdout.write(run_script(doc, _read(ns.args[0])))
             return 0
         tokens = [ns.command] + list(ns.args)
         if ns.certificate:

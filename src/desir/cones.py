@@ -90,9 +90,7 @@ class PositiveExpectation:
     def replays(self, dset: "DesirSet", f: Gamble) -> bool:
         if dset.credal is None or any(m < 0 for m in self.border_lambdas):
             return False
-        peeled = f
-        for m, b in zip(self.border_lambdas, dset.borders):
-            peeled = peeled - b.scale(m)
+        peeled = _peel(f, self.border_lambdas, dset.borders)
         return dset.credal.lower(peeled) == self.value and self.value > 0
 
 
@@ -136,17 +134,29 @@ def avoids_partial_loss(
 
     On failure returns the violating convex weights.
     """
-    gambles = list(gambles)
     if not gambles:
         return True, None
-    k = len(gambles)
     flats = [g.flat() for g in gambles]
-    cons = [([fl[c] for fl in flats], LE, Fraction(0)) for c in range(len(flats[0]))]
-    cons.append(([Fraction(1)] * k, EQ, Fraction(1)))
-    out = solve(LpProblem.build([Fraction(0)] * k, "max", cons))
+    out = solve(LpProblem.cone(flats, LE, [0] * len(flats[0]), convex=True))
     if out.status == OPTIMAL:
         return False, out.witness
     return True, None
+
+
+def combines_to_zero(gambles: Sequence[Gamble]) -> bool:
+    """True iff some convex combination of the gambles is exactly zero."""
+    if not gambles:
+        return False
+    flats = [g.flat() for g in gambles]
+    out = solve(LpProblem.cone(flats, EQ, [0] * len(flats[0]), convex=True))
+    return out.status == OPTIMAL
+
+
+def _peel(f: Gamble, weights: Sequence[Rat], rays: Sequence[Gamble]) -> Gamble:
+    """f - sum(w * r)."""
+    for w, r in zip(weights, rays):
+        f = f - r.scale(w)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +222,9 @@ class DesirSet:
     # -- membership -------------------------------------------------------
 
     def contains(self, f: Gamble) -> bool:
-        """Fast boolean membership (no certificate construction)."""
+        """Boolean membership (no certificate replay)."""
         self._check_space(f)
-        if f.is_zero():
-            return False
-        if f.is_positive():
-            return True
-        if f.is_nonpositive():
-            return False
-        if self.kind == FG:
-            return self._fg_feasible(f) is not None
-        if self.kind == STRICT:
-            return self.credal.lower(f) > 0
-        return self._augmented_contains(f)
+        return f.is_positive() or self._certificate(f) is not None
 
     def member(self, f: Gamble) -> MembershipVerdict:
         """Membership with a replay-checked certificate."""
@@ -235,44 +235,36 @@ class DesirSet:
         return verdict
 
     def _member_uncached(self, f: Gamble) -> MembershipVerdict:
-        if not f.is_zero() and f.is_positive():
+        if f.is_positive():
             cert = PositiveCombination(
                 tuple(Fraction(0) for _ in self.generators),
                 tuple(Fraction(0) for _ in self.borders),
                 f,
             )
-            return MembershipVerdict(True, cert)
-        if self.contains(f):
-            if self.kind == FG:
-                lambdas = self._fg_feasible(f)
-                residual = f
-                for l, g in zip(lambdas, self.generators):
-                    residual = residual - g.scale(l)
-                return MembershipVerdict(
-                    True, PositiveCombination(lambdas, (), residual)
-                )
-            if self.kind == STRICT:
-                return MembershipVerdict(
-                    True, PositiveExpectation((), self.credal.lower(f))
-                )
-            return MembershipVerdict(True, self._augmented_certificate(f))
-        return MembershipVerdict(False, SeparatingPrevision(self._separating(f)))
+        else:
+            cert = self._certificate(f)
+        if cert is None:
+            return MembershipVerdict(False, SeparatingPrevision(self._separating(f)))
+        return MembershipVerdict(True, cert)
 
-    def _fg_feasible(self, f: Gamble) -> Optional[tuple[Rat, ...]]:
-        """Weights with f - sum(lambda g) >= 0, or None."""
-        k = len(self.generators)
-        if k == 0:
-            return () if f.is_positive() else None
-        flats = [g.flat() for g in self.generators]
-        fflat = f.flat()
-        cons = [
-            ([fl[c] for fl in flats], LE, fflat[c]) for c in range(len(fflat))
-        ]
-        out = solve(LpProblem.build([Fraction(0)] * k, "max", cons))
-        return out.witness if out.status == OPTIMAL else None
-
-    def _augmented_contains(self, f: Gamble) -> bool:
-        return self._augmented_certificate(f) is not None
+    def _certificate(self, f: Gamble) -> Optional[Certificate]:
+        """Positive certificate for a gamble outside L+, or None if f is not
+        a member (the zero gamble and nonpositive gambles never are)."""
+        if f.is_nonpositive():
+            return None
+        if self.kind == FG:
+            if not self.generators:
+                return None
+            flats = [g.flat() for g in self.generators]
+            out = solve(LpProblem.cone(flats, LE, f.flat()))
+            if out.status != OPTIMAL:
+                return None
+            lambdas = out.witness
+            return PositiveCombination(lambdas, (), _peel(f, lambdas, self.generators))
+        if self.kind == STRICT:
+            value = self.credal.lower(f)
+            return PositiveExpectation((), value) if value > 0 else None
+        return self._augmented_certificate(f)
 
     def _augmented_certificate(self, f: Gamble) -> Optional[Certificate]:
         """The three-way case split for posi(strict + border rays)."""
@@ -295,9 +287,7 @@ class DesirSet:
         )
         if out.status == OPTIMAL and out.optimum > 0:
             mu = out.witness[:nb]
-            peeled = f
-            for m, b in zip(mu, borders):
-                peeled = peeled - b.scale(m)
+            peeled = _peel(f, mu, borders)
             return PositiveExpectation(tuple(mu), self.credal.lower(peeled))
         # (2) positive residual: f - sum(mu b) >= 0 with nonzero residual,
         # decided by maximising the total residual mass.
@@ -309,10 +299,7 @@ class DesirSet:
             total = sum(fflat, Fraction(0)) + out.optimum
             if total > 0:
                 mu = out.witness
-                residual = f
-                for m, b in zip(mu, borders):
-                    residual = residual - b.scale(m)
-                return PositiveCombination((), tuple(mu), residual)
+                return PositiveCombination((), tuple(mu), _peel(f, mu, borders))
         elif out.status == UNBOUNDED:
             raise InternalError("border cone contains a negative direction")
         # (3) pure border ray: f = sum(mu b) with mu not all zero.
@@ -533,23 +520,8 @@ class DesirSet:
         if self.kind == FG:
             return open_superset_witness(self.space, self.generators)
         # augmented: a hull point strictly positive on every border ray
-        verts = self.credal.vertices
-        k = len(verts)
-        cons = [
-            ([v(b) for v in verts] + [Fraction(-1)], GE, Fraction(0))
-            for b in self.borders
-        ]
-        cons.append(([Fraction(1)] * k + [Fraction(0)], EQ, Fraction(1)))
-        cons.append(([Fraction(0)] * k + [Fraction(1)], LE, Fraction(1)))
-        out = solve(LpProblem.build([Fraction(0)] * k + [Fraction(1)], "max", cons))
-        if out.status == OPTIMAL and out.optimum > 0:
-            alpha = out.witness[:k]
-            mass = tuple(
-                sum((al * v.mass[c] for al, v in zip(alpha, verts)), Fraction(0))
-                for c in range(self.space.n_cells)
-            )
-            return True, LinearPrevision(self.space, mass)
-        return False, None
+        p = _positive_mix(self.space, self.credal.vertices, self.borders)
+        return p is not None, p
 
     def credal_projection(self) -> CredalSet:
         """The credal set of the induced lower prevision."""
@@ -588,28 +560,40 @@ def open_superset_witness(
     other.
     """
     n = space.n_cells
-    cons = [(list(g.flat()) + [Fraction(-1)], GE, Fraction(0)) for g in generators]
-    cons.append(([Fraction(1)] * n + [Fraction(0)], EQ, Fraction(1)))
-    cons.append(([Fraction(0)] * n + [Fraction(1)], LE, Fraction(1)))
-    out = solve(LpProblem.build([Fraction(0)] * n + [Fraction(1)], "max", cons))
-    if out.status == OPTIMAL and out.optimum > 0:
-        return True, LinearPrevision(space, out.witness[:n])
-    return False, None
+    units = [
+        LinearPrevision(space, tuple(Fraction(int(c == j)) for c in range(n)))
+        for j in range(n)
+    ]
+    p = _positive_mix(space, units, generators)
+    return p is not None, p
+
+
+def _positive_mix(
+    space: Space, points: Sequence[LinearPrevision], rays: Sequence[Gamble]
+) -> Optional[LinearPrevision]:
+    """A mixture of the points that is strictly positive on every ray."""
+    k = len(points)
+    cons = [([p(b) for p in points] + [Fraction(-1)], GE, Fraction(0)) for b in rays]
+    cons.append(([Fraction(1)] * k + [Fraction(0)], EQ, Fraction(1)))
+    cons.append(([Fraction(0)] * k + [Fraction(1)], LE, Fraction(1)))
+    out = solve(LpProblem.build([Fraction(0)] * k + [Fraction(1)], "max", cons))
+    if out.status != OPTIMAL or out.optimum <= 0:
+        return None
+    alpha = out.witness[:k]
+    mass = tuple(
+        sum((a * p.mass[c] for a, p in zip(alpha, points)), Fraction(0))
+        for c in range(space.n_cells)
+    )
+    return LinearPrevision(space, mass)
 
 
 def _check_border_coherence(space: Space, borders: Sequence[Gamble]):
     """Reject border lists whose cone meets -L+ or the origin."""
-    flats = [b.flat() for b in borders]
-    k = len(borders)
-    n = len(flats[0])
-    cons = [([fl[c] for fl in flats], EQ, Fraction(0)) for c in range(n)]
-    cons.append(([Fraction(1)] * k, EQ, Fraction(1)))
-    if solve(LpProblem.build([Fraction(0)] * k, "max", cons)).status == OPTIMAL:
+    if combines_to_zero(borders):
         raise ModelError("border rays positively combine to zero")
-    cons = [([fl[c] for fl in flats], LE, Fraction(0)) for c in range(n)]
-    total = [sum(fl[c] for c in range(n)) for fl in flats]
-    cons.append((total, LE, Fraction(-1)))
-    if solve(LpProblem.build([Fraction(0)] * k, "max", cons)).status == OPTIMAL:
+    # No convex combination is 0, so any convex combination <= 0 is a
+    # nonzero negative gamble: avoiding partial loss is the exact test.
+    if not avoids_partial_loss(space, borders)[0]:
         raise ModelError("border rays positively combine to a negative gamble")
 
 

@@ -19,12 +19,13 @@ rejects instances where that would blow up.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalError, ModelError, ResourceLimitError
-from .lp import EQ, GE, LE, OPTIMAL, LpProblem, Rat, rat, solve
+from .lp import EQ, GE, OPTIMAL, LpProblem, Rat, rat, solve
 from .spaces import (
     EventSet,
     Gamble,
@@ -57,14 +58,6 @@ class LinearPrevision:
     @staticmethod
     def of(space: Space, values: Iterable) -> "LinearPrevision":
         return LinearPrevision(space, tuple(rat(v) for v in values))
-
-    @staticmethod
-    def uniform(space: Space) -> "LinearPrevision":
-        n = space.n_cells
-        return LinearPrevision(space, tuple(Fraction(1, n) for _ in range(n)))
-
-    def cell(self, i: int, j: int) -> Rat:
-        return self.mass[i * self.space.n_prizes + j]
 
     def __call__(self, f: Gamble) -> Rat:
         if f.space != self.space:
@@ -122,8 +115,6 @@ def enumerate_vertices(
     for g in constraints:
         pool.append(g.flat())
 
-    import math
-
     if n + len(constraints) > DESK_SCALE_BOUND or (
         n >= 1 and math.comb(len(pool), n - 1) > ENUMERATION_BUDGET
     ):
@@ -154,13 +145,7 @@ def enumerate_vertices(
 def _hull_contains(vertices: Sequence[tuple[Rat, ...]], point: tuple[Rat, ...]) -> bool:
     if not vertices:
         return False
-    k = len(vertices)
-    n = len(point)
-    cons = []
-    for c in range(n):
-        cons.append(([v[c] for v in vertices], EQ, point[c]))
-    cons.append(([Fraction(1)] * k, EQ, Fraction(1)))
-    out = solve(LpProblem.build([Fraction(0)] * k, "max", cons))
+    out = solve(LpProblem.cone(vertices, EQ, point, convex=True))
     return out.status == OPTIMAL
 
 
@@ -268,6 +253,16 @@ class CredalSet:
 
     def is_linear(self) -> bool:
         return len(self.vertices) == 1
+
+    def represents_complete(self, scope: str) -> bool:
+        """Single-vertex tests for completeness of preferences/beliefs/values."""
+        if scope == "preferences":
+            return self.is_linear()
+        if scope == "beliefs":
+            return self.marginal_omega().is_linear()
+        if scope == "values":
+            return self.marginal_prizes().is_linear()
+        raise InputError(f"unknown completeness scope {scope!r}")
 
     def lower_probability(self, event: EventSet) -> Rat:
         return min(v.of_event(event) for v in self.vertices)

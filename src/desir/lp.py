@@ -101,6 +101,26 @@ class LpProblem:
             )
         return LpProblem(obj, sense, rows, bnds)
 
+    @staticmethod
+    def cone(
+        columns: Sequence[Sequence],
+        relation: str,
+        target: Sequence,
+        convex: bool = False,
+    ) -> "LpProblem":
+        """Feasibility of lambda >= 0 with sum_k lambda_k columns[k] rel target.
+
+        One row per target coordinate, then ``sum lambda = 1`` when
+        ``convex``; zero objective, so any feasible witness is optimal.
+        """
+        k = len(columns)
+        cons = [
+            ([col[c] for col in columns], relation, t) for c, t in enumerate(target)
+        ]
+        if convex:
+            cons.append(([Fraction(1)] * k, EQ, Fraction(1)))
+        return LpProblem.build([Fraction(0)] * k, "max", cons)
+
     def __post_init__(self):
         if self.sense not in ("max", "min"):
             raise InputError(f"sense must be 'max' or 'min', got {self.sense!r}")

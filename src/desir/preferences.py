@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cones import DesirSet, avoids_partial_loss
+from .cones import DesirSet, avoids_partial_loss, combines_to_zero
 from .credal import CredalSet
 from .errors import InputError, InternalError, ModelError
 from .lp import EQ, OPTIMAL, LpProblem, Rat, solve
@@ -91,19 +91,10 @@ class PreferenceRelation:
     @cached_property
     def _consistent(self) -> bool:
         gens = self.cone_generators()
-        if not gens:
-            return True
         if not self.bare:
             return avoids_partial_loss(self.space, gens)[0]
         # bare case: the cone of differences must miss the origin exactly
-        flats = [g.flat() for g in gens]
-        k = len(gens)
-        cons = [
-            ([fl[c] for fl in flats], EQ, Fraction(0)) for c in range(len(flats[0]))
-        ]
-        cons.append(([Fraction(1)] * k, EQ, Fraction(1)))
-        out = solve(LpProblem.build([Fraction(0)] * k, "max", cons))
-        return out.status != OPTIMAL
+        return not combines_to_zero(gens)
 
     def is_consistent(self) -> bool:
         return self._consistent
@@ -133,13 +124,7 @@ class PreferenceRelation:
         if not gens:
             return False
         flats = [g.flat() for g in gens]
-        target = diff.flat()
-        cons = [
-            ([fl[c] for fl in flats], EQ, target[c]) for c in range(len(target))
-        ]
-        k = len(gens)
-        out = solve(LpProblem.build([Fraction(0)] * k, "max", cons))
-        return out.status == OPTIMAL
+        return solve(LpProblem.cone(flats, EQ, diff.flat())).status == OPTIMAL
 
     # -- the equivalence ---------------------------------------------------
 
@@ -193,10 +178,6 @@ def extend_to_worst_outcome(rel: PreferenceRelation) -> DesirSet:
     rel.space.require_worst()
     rel._require_consistent()
     return DesirSet.from_generators(rel.space, rel.cone_generators())
-
-
-def archimedean_class(rel: PreferenceRelation) -> str:
-    return rel.archimedean_class()
 
 
 def archimedean_class_of_set(dset: DesirSet) -> str:

@@ -82,31 +82,6 @@ def marginal_extension_prevision(
     return m_omega.lower(inner)
 
 
-def m1_lower_bruteforce(
-    m_omega: CredalSet, conditionals: Sequence[CredalSet], f: Gamble
-) -> Rat:
-    """Minimum over all vertex combinations, the conditional vertex free
-    to vary with the state (the behavioural reading of irrelevance)."""
-    joint = f.space
-    _check_factors(joint, m_omega, None)
-    best: Optional[Rat] = None
-    per_state_values = []
-    for i, cond in enumerate(conditionals):
-        row = _prize_row(f, i)
-        per_state_values.append([v(row) for v in cond.vertices])
-    import itertools
-
-    for vo in m_omega.vertices:
-        for combo in itertools.product(*per_state_values):
-            total = sum(
-                (vo.mass[i] * val for i, val in enumerate(combo)), Fraction(0)
-            )
-            if best is None or total < best:
-                best = total
-    assert best is not None
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Products at the desirability level
 # ---------------------------------------------------------------------------
@@ -212,26 +187,6 @@ def strong_product(
         for vx in m_x.vertices
     ]
     return CredalSet.from_vertices(joint, masses)
-
-
-def strong_product_lower(
-    m_omega: CredalSet, m_x: CredalSet, f: Gamble
-) -> Rat:
-    """Direct evaluator: min over vertex pairs, no hull construction."""
-    joint = f.space
-    _check_factors(joint, m_omega, m_x)
-    best: Optional[Rat] = None
-    for vx in m_x.vertices:
-        rows = []
-        for i in range(joint.n_states):
-            rows.append((vx(_prize_row(f, i)),))
-        inner = Gamble(omega_factor_space(joint), tuple(rows))
-        for vo in m_omega.vertices:
-            val = vo(inner)
-            if best is None or val < best:
-                best = val
-    assert best is not None
-    return best
 
 
 # ---------------------------------------------------------------------------

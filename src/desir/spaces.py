@@ -148,12 +148,6 @@ class Gamble:
             self.space, tuple(tuple(factor * v for v in row) for row in self.values)
         )
 
-    def shift(self, c) -> "Gamble":
-        c = rat(c)
-        return Gamble(
-            self.space, tuple(tuple(v + c for v in row) for row in self.values)
-        )
-
     def _check_mate(self, other: "Gamble"):
         if self.space != other.space:
             raise InputError("gambles live on different spaces")
@@ -178,9 +172,6 @@ class Gamble:
     def min_value(self) -> Rat:
         return min(v for row in self.values for v in row)
 
-    def max_value(self) -> Rat:
-        return max(v for row in self.values for v in row)
-
     def min_over(self, event: "EventSet") -> Rat:
         return min(self.values[i][j] for i, j in event.cells)
 
@@ -204,9 +195,6 @@ class Gamble:
             if self.values[i][j] != 0
         )
         return EventSet(self.space, cells)
-
-    def row_sums(self) -> tuple[Rat, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.values)
 
 
 @dataclass(frozen=True)
@@ -240,9 +228,6 @@ class EventSet:
 
     def is_empty(self) -> bool:
         return not self.cells
-
-    def is_all(self) -> bool:
-        return len(self.cells) == self.space.n_cells
 
     def is_state_cylinder(self) -> bool:
         states = {i for i, _ in self.cells}
@@ -418,15 +403,6 @@ def decompose_in_generating_family(f: Gamble) -> ChainDecomposition:
         perms.append(tuple(order))
         lams.append(tuple(prefix))
     return ChainDecomposition(f, tuple(perms), tuple(lams))
-
-
-def support(f: Gamble) -> EventSet:
-    return f.support()
-
-
-# ---------------------------------------------------------------------------
-# Worst-act normalisation
-# ---------------------------------------------------------------------------
 
 
 # ---------------------------------------------------------------------------

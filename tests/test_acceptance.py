@@ -27,7 +27,6 @@ from desir.products import (
     A4_FAILS,
     A4_HOLDS_EXACT,
     is_strong_product,
-    m1_lower_bruteforce,
     marginal_extension_prevision,
     prevision_factorizes,
     satisfies_a4,
@@ -46,6 +45,7 @@ from desir.spaces import (
 )
 
 from conftest import rand_gamble, rand_lottery, rand_mass_row, rand_rat
+from oracles import m1_lower_bruteforce
 from test_cones import rand_desirset
 
 COIN = Space(("h", "t"), ("x",), "z")

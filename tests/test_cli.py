@@ -6,6 +6,7 @@ from desir.cli import main, run_command, run_script
 from desir.document import parse_document
 
 DATA = Path(__file__).parent / "data"
+BENCH_DATA = Path(__file__).parent.parent / "bench" / "data"
 COIN_TEXT = (DATA / "coin.txt").read_text()
 
 
@@ -82,11 +83,40 @@ def test_script_runner_deterministic(coin_doc):
             "vertices uniform",
         ]
     )
-    seq = run_script(coin_doc, script, jobs=1)
-    par = run_script(coin_doc, script, jobs=4)
-    again = run_script(coin_doc, script, jobs=1)
-    assert seq == par == again
-    assert "> lowprev R2 f\n0/1\n" in seq
+    first = run_script(coin_doc, script)
+    assert run_script(coin_doc, script) == first
+    assert "> lowprev R2 f\n0/1\n" in first
+
+
+def _blocks(transcript):
+    """Split a run transcript into (command, answer lines) blocks."""
+    blocks = []
+    for line in transcript.splitlines():
+        if line.startswith("> "):
+            blocks.append((line[2:], []))
+        else:
+            blocks[-1][1].append(line)
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "doc_path",
+    [
+        BENCH_DATA / "fg-strict-batch" / "batch.doc.txt",
+        BENCH_DATA / "augmented-cond" / "augmented.doc.txt",
+    ],
+    ids=["fg-strict-batch", "augmented-cond"],
+)
+def test_committed_certificates_byte_identical(doc_path):
+    # every printed certificate of the committed benchmark outputs, so a
+    # refactor of the LP layer cannot move a witness unnoticed
+    stem = doc_path.name.split(".")[0]
+    expected = (doc_path.parent / f"{stem}.expected.txt").read_text()
+    wanted = [b for b in _blocks(expected) if b[0].endswith(" certificate")]
+    assert wanted and all(cmd.startswith("member ") for cmd, _ in wanted)
+    doc = parse_document(doc_path.read_text())
+    script = "\n".join(cmd for cmd, _ in wanted)
+    assert _blocks(run_script(doc, script)) == wanted
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -113,6 +143,14 @@ def test_main_exit_codes(tmp_path, capsys):
         "desirset D fg a b\n"
     )
     assert main(["check", str(incoherent)]) == 1
+
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"space\nomega \xff\xfe\nend\n")
+    capsys.readouterr()
+    for unreadable in (tmp_path / "missing.txt", tmp_path, binary):
+        assert main(["check", str(unreadable)]) == 2
+        assert capsys.readouterr().err.startswith("input error: cannot read")
+    assert main(["run", str(doc_path), str(tmp_path / "missing.txt")]) == 2
 
 
 def test_main_run_subcommand(tmp_path, capsys):

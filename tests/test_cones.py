@@ -113,11 +113,17 @@ def test_augmented_construction_guards():
         DesirSet.augmented(uniform, [g2(1, 1)])  # positive
     with pytest.raises(ModelError):
         DesirSet.augmented(uniform, [g2(1, 0)])  # lower expectation 1/2
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="to zero"):
         DesirSet.augmented(uniform, [g2(-1, 1), g2(1, -1)])  # hits zero
     head = CredalSet.point(COIN, (F(1), F(0)))
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="negative gamble"):
         DesirSet.augmented(head, [g2(0, -1)])  # combines to a negative gamble
+    # no single ray is <= 0, but their sum (0, -1, -1) is
+    line = Space(("a", "b", "c"), ("x",))
+    first = CredalSet.point(line, (1, 0, 0))
+    rays = [Gamble.of(line, [[0], [1], [-2]]), Gamble.of(line, [[0], [-2], [1]])]
+    with pytest.raises(ModelError, match="negative gamble"):
+        DesirSet.augmented(first, rays)
 
 
 # -- previsions --------------------------------------------------------------

@@ -2,15 +2,6 @@ from fractions import Fraction as F
 
 from desir.cones import DesirSet
 from desir.credal import CredalSet, LinearPrevision
-from desir.previsions import (
-    LowerPrevision,
-    conditional_lower_prevision,
-    conditional_natural_extension,
-    is_linear,
-    lower_prevision,
-    represents_complete,
-    upper_prevision,
-)
 from desir.spaces import EventSet, Gamble, Space
 
 from conftest import rand_gamble, rand_space
@@ -37,13 +28,13 @@ def test_c1_c2_c3_and_conjugacy(rng):
     for _ in range(8):
         space = rand_space(rng, worst=False)
         for d in backings(rng, space):
-            lp = LowerPrevision(d)
+            lp = d.lower_prevision
             f, g = rand_gamble(rng, space), rand_gamble(rng, space)
             assert lp(f) >= f.min_value()  # C1
             for lam in (F(1, 3), F(2)):
                 assert lp(f.scale(lam)) == lam * lp(f)  # C2
             assert lp(f + g) >= lp(f) + lp(g)  # C3
-            assert lp(f) <= lp.upper(f)
+            assert lp(f) <= d.upper_prevision(f)
 
 
 def test_envelope_oracle(rng):
@@ -67,14 +58,12 @@ def test_conditional_axioms(rng):
             states = space.omega[: rng.randint(1, space.n_states)]
             b = EventSet.from_states(space, states)
             f, g = rand_gamble(rng, space), rand_gamble(rng, space)
-            lp = LowerPrevision(d)
-            assert lp.conditional(f, b) >= f.min_over(b)  # CC1
+            cond = d.conditional_lower_prevision
+            assert cond(f, b) >= f.min_over(b)  # CC1
             for lam in (F(1, 3), F(2)):
-                assert lp.conditional(f.scale(lam), b) == lam * lp.conditional(f, b)
-            assert lp.conditional(f + g, b) >= lp.conditional(f, b) + lp.conditional(
-                g, b
-            )  # CC3
-            assert lp.conditional(b.indicator(), b) == 1
+                assert cond(f.scale(lam), b) == lam * cond(f, b)
+            assert cond(f + g, b) >= cond(f, b) + cond(g, b)  # CC3
+            assert cond(b.indicator(), b) == 1
 
 
 def test_conditional_sup_is_tight(rng):
@@ -127,18 +116,14 @@ def test_credal_backing_matches_strict_set(rng):
     d = DesirSet.strict(cs)
     for _ in range(10):
         f = rand_gamble(rng, space)
-        assert lower_prevision(cs, f) == d.lower_prevision(f)
-        assert upper_prevision(cs, f) == d.upper_prevision(f)
-        b = EventSet.from_states(space, ["h"])
-        assert conditional_lower_prevision(cs, f, b) == d.conditional_lower_prevision(
-            f, b
-        )
+        assert cs.lower(f) == d.lower_prevision(f)
+        assert cs.upper(f) == d.upper_prevision(f)
 
 
 def test_conditional_natural_extension_dispatch():
     cs = CredalSet.point(COIN, (F(1, 2), F(1, 2)))
     b = EventSet.from_states(COIN, ["h"])
-    assert conditional_natural_extension(cs, g2(3, -5), b) == 3
+    assert cs.conditional_natural_extension(g2(3, -5), b) == 3
 
 
 def test_negative_additivity_two_vertices():
@@ -149,13 +134,13 @@ def test_negative_additivity_two_vertices():
     f, g = g2(1, F(-1, 3)), g2(-1, 1)
     assert not d.contains(f) and not d.contains(g)
     assert d.contains((f + g) - Gamble.constant(COIN, F(1, 4)))
-    assert not is_linear(cs)
+    assert not cs.is_linear()
 
 
 def test_negative_additivity_holds_when_linear(rng):
     cs = CredalSet.point(COIN, (F(1, 3), F(2, 3)))
     d = DesirSet.strict(cs)
-    assert is_linear(cs)
+    assert cs.is_linear()
     count = 0
     while count < 200:
         f, g = rand_gamble(rng, COIN), rand_gamble(rng, COIN)
@@ -196,15 +181,15 @@ def test_represents_complete_examples():
     sq = Space(("h", "t"), ("x0", "x1"))
     product = CredalSet.point(sq, (F(1, 4),) * 4)
     for scope in ("preferences", "beliefs", "values"):
-        assert represents_complete(product, scope)
-    assert represents_complete(CredalSet.point(COIN, (F(1, 2), F(1, 2))), "preferences")
+        assert product.represents_complete(scope)
+    assert CredalSet.point(COIN, (F(1, 2), F(1, 2))).represents_complete("preferences")
     two = CredalSet.from_vertices(COIN, [(F(1, 4), F(3, 4)), (F(1, 2), F(1, 2))])
-    assert not represents_complete(two, "preferences")
+    assert not two.represents_complete("preferences")
     # correlated joint has linear marginals but non-linear joint
     corr = CredalSet.from_vertices(
         sq,
         [(F(1, 2), 0, 0, F(1, 2)), (0, F(1, 2), F(1, 2), 0)],
     )
-    assert represents_complete(corr, "beliefs")
-    assert represents_complete(corr, "values")
-    assert not represents_complete(corr, "preferences")
+    assert corr.represents_complete("beliefs")
+    assert corr.represents_complete("values")
+    assert not corr.represents_complete("preferences")

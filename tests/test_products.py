@@ -5,7 +5,6 @@ import pytest
 from desir.cones import DesirSet
 from desir.credal import CredalSet, LinearPrevision
 from desir.errors import InputError
-from desir.previsions import credal_of
 from desir.products import (
     A4_FAILS,
     A4_HOLDS_EXACT,
@@ -14,13 +13,11 @@ from desir.products import (
     irrelevant_product_set,
     is_irrelevant_product,
     is_strong_product,
-    m1_lower_bruteforce,
     marginal_extension_prevision,
     prevision_factorizes,
     satisfies_a4,
     satisfies_a5,
     strong_product,
-    strong_product_lower,
 )
 from desir.spaces import (
     Gamble,
@@ -30,6 +27,7 @@ from desir.spaces import (
 )
 
 from conftest import rand_gamble, rand_mass_row
+from oracles import m1_lower_bruteforce, strong_product_lower
 
 SQ = Space(("w0", "w1"), ("x0", "x1"))
 OF = omega_factor_space(SQ)
@@ -267,7 +265,7 @@ def test_a5_on_ine_projection():
         (F(2, 3), F(1, 3)),
     ]
     ine = independent_natural_extension(r_omega, r_x, SQ)
-    joint = credal_of(ine)
+    joint = ine.credal_projection()
     assert satisfies_a5(joint, m_omega, m_x)
 
 
@@ -312,7 +310,7 @@ def test_ine_is_not_strong_product():
     m_omega = r_omega.credal_projection()
     m_x = r_x.credal_projection()
     ine = independent_natural_extension(r_omega, r_x, SQ)
-    joint = credal_of(ine)
+    joint = ine.credal_projection()
     sp = strong_product(m_omega, m_x, SQ)
     strictly_below = any(not sp.contains(v) for v in joint.vertices)
     assert strictly_below

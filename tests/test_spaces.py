@@ -17,7 +17,6 @@ from desir.spaces import (
     pi1_inverse,
     pi2_inverse,
     project_pi,
-    support,
 )
 
 from conftest import rand_gamble, rand_lottery, rand_space
@@ -151,11 +150,11 @@ def test_decompose_reconstructs_and_bounds(data):
 
 def test_support_examples():
     space = Space(("w0",), ("x0", "x1", "x2"))
-    ev = support(Gamble.of(space, [[1, 0, -1]]))
+    ev = Gamble.of(space, [[1, 0, -1]]).support()
     assert ev.cells == ((0, 0), (0, 2))
-    assert support(Gamble.zero(space)).is_empty()
+    assert Gamble.zero(space).support().is_empty()
     b = EventSet(space, ((0, 1),))
-    assert support(b.indicator()) == b
+    assert b.indicator().support() == b
 
 
 def test_normalize_worst_act_identity():
