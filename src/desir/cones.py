@@ -17,10 +17,11 @@ positive-expectation certificate; negative verdicts carry a separating
 linear prevision.  Certificates replay exactly.
 
 The central computation is ``sup { mu : B(f - mu) in D }`` for an
-arbitrary nonempty cell event B.  For an augmented set the member set
-splits three ways -- the open part (every credal vertex strictly
-positive after subtracting border multiples), the positive-residual part,
-and the pure border ray -- and each part has a down-closed mu-set whose
+arbitrary nonempty cell event B.  For an augmented set the member set is
+the union of two parts -- the open part (every credal vertex strictly
+positive after subtracting border multiples) and the closed part (a
+nonnegative residual after subtracting border multiples, which takes in
+the pure border rays) -- and each part has a down-closed mu-set whose
 supremum is an LP value, so the overall supremum is their maximum.
 """
 
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .credal import CredalSet, LinearPrevision
-from .errors import InputError, InternalError, ModelError, ResourceLimitError
+from .errors import InputError, InternalError, ModelError
 from .lp import EQ, GE, LE, OPTIMAL, UNBOUNDED, LpProblem, Rat, rat, solve
 from .spaces import (
     EventSet,
@@ -159,6 +160,26 @@ def _peel(f: Gamble, weights: Sequence[Rat], rays: Sequence[Gamble]) -> Gamble:
     return f
 
 
+def _residual_sup(
+    rays: Sequence[Gamble], f: Gamble, event: EventSet
+) -> Optional[Rat]:
+    """sup { mu : B(f - mu) - sum(lambda r) >= 0, lambda >= 0 }, or None
+    when unbounded.  Always feasible (lambda = 0, mu = min_B f)."""
+    k = len(rays)
+    flats = [r.flat() for r in rays]
+    bflat = f.restricted_to(event).flat()
+    iflat = event.indicator().flat()
+    cons = [
+        ([fl[c] for fl in flats] + [iflat[c]], LE, bflat[c])
+        for c in range(len(bflat))
+    ]
+    bounds = [(Fraction(0), None)] * k + [(None, None)]
+    out = solve(
+        LpProblem.build([Fraction(0)] * k + [Fraction(1)], "max", cons, bounds)
+    )
+    return out.optimum if out.status == OPTIMAL else None
+
+
 # ---------------------------------------------------------------------------
 # The three-representation desirable set
 # ---------------------------------------------------------------------------
@@ -267,7 +288,7 @@ class DesirSet:
         return self._augmented_certificate(f)
 
     def _augmented_certificate(self, f: Gamble) -> Optional[Certificate]:
-        """The three-way case split for posi(strict + border rays)."""
+        """The open part, then the closed part of posi(strict + border rays)."""
         borders = self.borders
         nb = len(borders)
         bflats = [b.flat() for b in borders]
@@ -289,27 +310,19 @@ class DesirSet:
             mu = out.witness[:nb]
             peeled = _peel(f, mu, borders)
             return PositiveExpectation(tuple(mu), self.credal.lower(peeled))
-        # (2) positive residual: f - sum(mu b) >= 0 with nonzero residual,
-        # decided by maximising the total residual mass.
+        # (2) closed part: f - sum(mu b) >= 0, witnessed with the largest
+        # residual mass.  f is neither zero nor >= 0 here, so a zero
+        # residual comes with mu != 0: f is then a pure border combination.
         n = len(fflat)
         cons = [([bf[c] for bf in bflats], LE, fflat[c]) for c in range(n)]
         obj = [-sum(bf[c] for c in range(n)) for bf in bflats]
         out = solve(LpProblem.build(obj, "max", cons))
-        if out.status == OPTIMAL:
-            total = sum(fflat, Fraction(0)) + out.optimum
-            if total > 0:
-                mu = out.witness
-                return PositiveCombination((), tuple(mu), _peel(f, mu, borders))
-        elif out.status == UNBOUNDED:
-            raise InternalError("border cone contains a negative direction")
-        # (3) pure border ray: f = sum(mu b) with mu not all zero.
-        cons = [([bf[c] for bf in bflats], EQ, fflat[c]) for c in range(n)]
-        out = solve(LpProblem.build([Fraction(1)] * nb, "max", cons))
         if out.status == UNBOUNDED:
-            raise InternalError("border cone has a recession ray through zero")
-        if out.status == OPTIMAL and out.optimum > 0:
-            return PositiveCombination((), out.witness, Gamble.zero(self.space))
-        return None
+            raise InternalError("border cone contains a negative direction")
+        if out.status != OPTIMAL:
+            return None
+        mu = out.witness
+        return PositiveCombination((), tuple(mu), _peel(f, mu, borders))
 
     def _separating(self, f: Gamble) -> LinearPrevision:
         """A prevision with P(f) <= 0 that respects all assertions."""
@@ -333,68 +346,46 @@ class DesirSet:
         """sup { mu : f - mu in D }; the lower envelope for credal kinds."""
         self._check_space(f)
         if self.kind == FG:
-            value = self._fg_conditional(f, EventSet.all_cells(self.space))
-            if value is None:
-                raise InternalError("lower prevision unbounded; set incoherent")
-            return value
+            return self.conditional_lower_prevision(f, EventSet.all_cells(self.space))
         return self.credal.lower(f)
 
     def upper_prevision(self, f: Gamble) -> Rat:
         return -self.lower_prevision(-f)
 
     def conditional_lower_prevision(self, f: Gamble, event: EventSet) -> Rat:
-        """sup { mu : B(f - mu) in D } for a nonempty cell event B."""
+        """sup { mu : B(f - mu) in D } for a nonempty cell event B.
+
+        The closed part's supremum is the residual LP over the generators
+        (fg) or border rays; a credal kind also takes the open part's.
+        """
         self._check_space(f)
         if event.space != self.space:
             raise InputError("event on the wrong space")
         if event.is_empty():
             raise InputError("conditioning event is empty")
+        rays = self.generators if self.kind == FG else self.borders
+        closed = _residual_sup(rays, f, event)
+        if closed is None:
+            raise InternalError("conditional prevision unbounded; set incoherent")
         if self.kind == FG:
-            value = self._fg_conditional(f, event)
-            if value is None:
-                raise InternalError("conditional prevision unbounded; set incoherent")
-            return value
-        sups = [s for s in self._credal_conditional_sups(f, event) if s is not None]
-        if not sups:
-            raise InternalError("conditional prevision with no feasible branch")
-        return max(sups)
+            return closed
+        open_sup = self._open_conditional_sup(f, event)
+        return closed if open_sup is None else max(open_sup, closed)
 
     def conditional_upper_prevision(self, f: Gamble, event: EventSet) -> Rat:
         return -self.conditional_lower_prevision(-f, event)
 
-    def _fg_conditional(self, f: Gamble, event: EventSet) -> Optional[Rat]:
-        k = len(self.generators)
-        flats = [g.flat() for g in self.generators]
-        fflat = f.flat()
-        incell = [False] * len(fflat)
-        m = self.space.n_prizes
-        for i, j in event.cells:
-            incell[i * m + j] = True
-        cons = []
-        for c in range(len(fflat)):
-            row = [fl[c] for fl in flats] + [Fraction(1) if incell[c] else Fraction(0)]
-            rhs = fflat[c] if incell[c] else Fraction(0)
-            cons.append((row, LE, rhs))
-        bounds = [(Fraction(0), None)] * k + [(None, None)]
-        out = solve(
-            LpProblem.build([Fraction(0)] * k + [Fraction(1)], "max", cons, bounds)
-        )
-        if out.status == UNBOUNDED:
-            return None
-        if out.status != OPTIMAL:
-            raise InternalError("conditional prevision LP infeasible")
-        return out.optimum
-
-    def _credal_conditional_sups(self, f: Gamble, event: EventSet):
-        """The three branch suprema for strict/augmented conditioning."""
+    def _open_conditional_sup(self, f: Gamble, event: EventSet) -> Optional[Rat]:
+        """Supremum of mu over the open part of a strict/augmented set, or
+        None when B(f - mu) minus border multiples never clears every
+        vertex strictly."""
         borders = self.borders
         nb = len(borders)
         vertices = self.credal.vertices
         indicator = event.indicator()
         bf = f.restricted_to(event)
-        # Branch 1 (open part).  Gate: can every vertex be made strictly
-        # positive at all?  If yes the branch supremum equals the closed
-        # LP optimum; if no the branch is empty.
+        # Gate: can every vertex be made strictly positive at all?  If yes
+        # the supremum equals the closed LP optimum; if no the part is empty.
         vb = [[v(b) for b in borders] for v in vertices]
         vbf = [v(bf) for v in vertices]
         vib = [v(indicator) for v in vertices]
@@ -414,68 +405,18 @@ class DesirSet:
                 gate_bounds,
             )
         )
-        sup1: Optional[Rat] = None
-        if gate.status == OPTIMAL and gate.optimum > 0:
-            cons = []
-            for kv in range(len(vertices)):
-                cons.append(([vib[kv]] + vb[kv], LE, vbf[kv]))
-            bounds = [(None, None)] + [(Fraction(0), None)] * nb
-            out = solve(
-                LpProblem.build(
-                    [Fraction(1)] + [Fraction(0)] * nb, "max", cons, bounds
-                )
-            )
-            if out.status == UNBOUNDED:
-                raise InternalError("open-branch supremum unbounded")
-            if out.status == OPTIMAL:
-                sup1 = out.optimum
-        # Branch 2 (positive residual): B(f - mu) - sum(nu b) >= 0.
-        fflat = f.flat()
-        iflat = indicator.flat()
-        bflats = [b.flat() for b in borders]
+        if gate.status != OPTIMAL or gate.optimum <= 0:
+            return None
         cons = []
-        for c in range(len(fflat)):
-            row = [iflat[c]] + [bf2[c] for bf2 in bflats]
-            cons.append((row, LE, fflat[c] * iflat[c]))
+        for kv in range(len(vertices)):
+            cons.append(([vib[kv]] + vb[kv], LE, vbf[kv]))
         bounds = [(None, None)] + [(Fraction(0), None)] * nb
         out = solve(
             LpProblem.build([Fraction(1)] + [Fraction(0)] * nb, "max", cons, bounds)
         )
         if out.status == UNBOUNDED:
-            raise InternalError("residual-branch supremum unbounded")
-        sup2 = out.optimum if out.status == OPTIMAL else None
-        # Branch 3 (pure border ray): B(f - mu) = sum(nu b), nu not all 0.
-        sup3: Optional[Rat] = None
-        if nb:
-            cons = []
-            for c in range(len(fflat)):
-                row = [iflat[c]] + [bf2[c] for bf2 in bflats]
-                cons.append((row, EQ, fflat[c] * iflat[c]))
-            out = solve(
-                LpProblem.build(
-                    [Fraction(1)] + [Fraction(0)] * nb, "max", cons, bounds
-                )
-            )
-            if out.status == UNBOUNDED:
-                raise InternalError("border-branch supremum unbounded")
-            if out.status == OPTIMAL:
-                mu3 = out.optimum
-                if any(n != 0 for n in out.witness[1:]):
-                    sup3 = mu3
-                else:
-                    # only the zero ray reaches mu3; any lower point of the
-                    # branch still pushes the supremum to mu3
-                    low = solve(
-                        LpProblem.build(
-                            [Fraction(1)] + [Fraction(0)] * nb,
-                            "min",
-                            cons,
-                            bounds,
-                        )
-                    )
-                    if low.status == OPTIMAL and low.optimum < mu3:
-                        sup3 = mu3
-        return sup1, sup2, sup3
+            raise InternalError("open-part supremum unbounded")
+        return out.optimum if out.status == OPTIMAL else None
 
     # -- structure queries ------------------------------------------------
 
@@ -665,9 +606,6 @@ class MarginalView:
 # Sets assessed through a family of conditional previsions
 # ---------------------------------------------------------------------------
 
-MAX_FAMILY_BLOCKS = 6
-
-
 @dataclass(frozen=True)
 class ConditionalAssessment:
     """A credal set of conditional mass functions carried by one event."""
@@ -708,10 +646,12 @@ class ConditionalAssessment:
 class ConditionalFamilySet:
     """Natural extension of conditional-prevision assessments.
 
-    Membership enumerates which blocks contribute, then solves one LP per
-    block subset over (per-block gamble, attained conditional bound,
-    strictness slack); a member needs some subset with positive slack or
-    a bare positive residual.
+    The set is posi(L+ and every B_i x with P_i(x) > 0).  Membership of a
+    gamble outside L+ is decided by CONEstrip: one LP over the blocks
+    still in play finds a representation that is strictly desirable on as
+    many blocks as it can, the blocks it cannot use strictly are stripped,
+    and the LP is solved again -- at most one LP more than there are
+    blocks.
     """
 
     space: Space
@@ -722,105 +662,87 @@ class ConditionalFamilySet:
             raise InputError("gamble on the wrong space")
         if f.is_zero():
             return False
-        if f.is_positive():
-            return True
-        k = len(self.assessments)
-        for mask in range(1, 1 << k):
-            used = [i for i in range(k) if mask & (1 << i)]
-            if self._subset_feasible(f, used):
-                return True
-        return False
+        return f.is_positive() or bool(self._strictly_used_blocks(f))
 
-    def _subset_feasible(self, f: Gamble, used: list[int]) -> bool:
-        # variables: per used block: g over its cells, bound m, slack eps;
-        # then one residual per space cell, then the common slack delta.
-        space = self.space
-        n = space.n_cells
-        m_prizes = space.n_prizes
-        offsets = []
-        width = 0
-        for i in used:
-            offsets.append(width)
-            width += len(self.assessments[i].event.cells) + 2
-        h0 = width
-        width += n
-        dcol = width
-        width += 1
+    def _strictly_used_blocks(self, f: Gamble) -> list[int]:
+        """The blocks some representation mu f = h + sum_i B_i x_i (h >= 0,
+        mu >= 1, P_i(x_i) > 0 on each block used) uses; [] if none does.
 
-        def empty_row():
-            return [Fraction(0)] * width
+        Stripping is exact.  The LP maximises sum tau_i subject to
+        P_i(x_i) >= tau_i in [0, 1], and every row is homogeneous.  Take any
+        representation strictly positive on a block set S, scale it until
+        tau_S >= 1 and add it to an optimum: the sum is feasible once tau
+        is capped at 1, and it raises sum tau unless tau_S = 1 already.  So
+        an optimum has tau_i = 0 only on blocks no representation can use.
+        """
+        active = list(range(len(self.assessments)))
+        while active:
+            problem, tau_cols = self._strip_lp(f, active)
+            out = solve(problem)
+            if out.status != OPTIMAL:
+                return []
+            keep = [i for i, t in zip(active, tau_cols) if out.witness[t] > 0]
+            if keep == active:
+                return active
+            active = keep
+        return []
 
+    def _strip_lp(
+        self, f: Gamble, active: Sequence[int]
+    ) -> tuple[LpProblem, list[int]]:
+        """The CONEstrip LP over the active blocks, and its tau columns.
+
+        Variables: per active block its gamble x over the block's cells,
+        then tau; then h per space cell, then mu.
+        """
+        n = self.space.n_cells
+        m_prizes = self.space.n_prizes
+        blocks = [self.assessments[i] for i in active]
+        width = sum(len(a.event.cells) + 1 for a in blocks) + n + 1
         cons = []
         bounds: list[tuple[Optional[Rat], Optional[Rat]]] = []
-        for pos, i in enumerate(used):
-            cells = self.assessments[i].event.cells
-            base = offsets[pos]
-            bounds.extend([(None, None)] * len(cells))
-            bounds.append((None, None))  # m_i
-            bounds.append((Fraction(0), None))  # eps_i
-            for v in self.assessments[i].vertices:
-                row = empty_row()
-                for x, k2 in zip(v, range(len(cells))):
-                    row[base + k2] = x
-                row[base + len(cells)] = Fraction(-1)
+        cell_rows = [[Fraction(0)] * width for _ in range(n)]
+        tau_cols = []
+        base = 0
+        for a in blocks:
+            cells = a.event.cells
+            tau = base + len(cells)
+            tau_cols.append(tau)
+            for v in a.vertices:
+                row = [Fraction(0)] * width
+                row[base:tau] = v
+                row[tau] = Fraction(-1)
                 cons.append((row, GE, Fraction(0)))
-            row = empty_row()
-            row[base + len(cells) + 1] = Fraction(1)
-            row[dcol] = Fraction(-1)
-            cons.append((row, GE, Fraction(0)))
-        bounds.extend([(Fraction(0), None)] * n)  # residual h
-        bounds.append((Fraction(0), Fraction(1)))  # delta
-        for c in range(n):
-            i_state, j_prize = divmod(c, m_prizes)
-            row = empty_row()
-            row[h0 + c] = Fraction(1)
-            for pos, i in enumerate(used):
-                cells = self.assessments[i].event.cells
-                base = offsets[pos]
-                if (i_state, j_prize) in cells:
-                    k2 = cells.index((i_state, j_prize))
-                    row[base + k2] = Fraction(1)
-                    row[base + len(cells)] = Fraction(-1)
-                    row[base + len(cells) + 1] = Fraction(1)
-            cons.append((row, EQ, f.values[i_state][j_prize]))
-        obj = empty_row()
-        obj[dcol] = Fraction(1)
-        out = solve(LpProblem.build(obj, "max", cons, bounds))
-        return out.status == OPTIMAL and out.optimum > 0
+            for k, (i, j) in enumerate(cells):
+                cell_rows[i * m_prizes + j][base + k] = Fraction(1)
+            bounds.extend([(None, None)] * len(cells) + [(Fraction(0), Fraction(1))])
+            base = tau + 1
+        fflat = f.flat()
+        for c, row in enumerate(cell_rows):
+            row[base + c] = Fraction(1)
+            row[width - 1] = -fflat[c]
+            cons.append((row, EQ, Fraction(0)))
+        bounds.extend([(Fraction(0), None)] * n + [(Fraction(1), None)])
+        obj = [Fraction(0)] * width
+        for tau in tau_cols:
+            obj[tau] = Fraction(1)
+        return LpProblem.build(obj, "max", cons, bounds), tau_cols
 
 
 def build_from_conditional_family(
-    space: Space,
-    family: Sequence[ConditionalAssessment],
-    probes: Sequence[dict] = (),
+    space: Space, family: Sequence[ConditionalAssessment]
 ) -> ConditionalFamilySet:
-    """Assemble the family-backed desirable set after probing consistency.
+    """Assemble the family-backed desirable set after checking consistency.
 
-    Each probe maps block indices to gambles; the avoiding-partial-loss
-    shape requires sup over the union of the probed events of the summed
-    called-off net gains to be nonnegative.  Quantifying over all gambles
-    is out of reach, so violations are only ever found, never excluded;
-    a found violation rejects the family.
+    The family is rejected iff it incurs partial loss: 0 = h + sum_i B_i x_i
+    with h >= 0 and P_i(x_i) > 0 on some nonempty set of blocks.  That is
+    exactly the case where stripping at f = 0 leaves a block in play.
     """
-    if len(family) > MAX_FAMILY_BLOCKS:
-        raise ResourceLimitError(
-            f"conditional families beyond {MAX_FAMILY_BLOCKS} blocks exceed "
-            "the desk-scale subset enumeration"
-        )
     for a in family:
         if a.event.space != space:
             raise InputError("assessment event on the wrong space")
-    for probe in probes:
-        acc = Gamble.zero(space)
-        union_cells: set = set()
-        for idx, f in probe.items():
-            a = family[idx]
-            union_cells.update(a.event.cells)
-            bound = a.lower(f)
-            acc = acc + (f - Gamble.constant(space, bound)).restricted_to(a.event)
-        sup = max(acc.values[i][j] for i, j in sorted(union_cells))
-        if sup < 0:
-            raise ModelError(
-                f"conditional family incurs partial loss on probe {probe!r}"
-            )
-    return ConditionalFamilySet(space, tuple(family))
+    fam = ConditionalFamilySet(space, tuple(family))
+    losing = fam._strictly_used_blocks(Gamble.zero(space))
+    if losing:
+        raise ModelError(f"conditional family incurs partial loss (blocks {losing})")
+    return fam

@@ -124,6 +124,7 @@ def enumerate_vertices(
         )
 
     ones = [Fraction(1)] * n
+    cflats = pool[n:]
     seen = set()
     for combo in itertools.combinations(range(len(pool)), n - 1):
         rows = [list(pool[k]) for k in combo]
@@ -134,8 +135,7 @@ def enumerate_vertices(
         if any(v < 0 for v in sol):
             continue
         if any(
-            sum((c * v for c, v in zip(g.flat(), sol)), Fraction(0)) < 0
-            for g in constraints
+            sum((c * v for c, v in zip(cf, sol)), Fraction(0)) < 0 for cf in cflats
         ):
             continue
         seen.add(tuple(sol))

@@ -1,13 +1,14 @@
 """Brute-force evaluators the tests compare the kernel against.
 
-Each one enumerates vertex combinations directly, with no hull
-construction and no LP, so it is an independent route to the same
-exact value.
+The product oracles enumerate vertex combinations directly, with no hull
+construction and no LP; the family oracle enumerates block subsets with
+one LP each.  Each is an independent route to the same exact answer.
 """
 
 import itertools
 from fractions import Fraction
 
+from desir.lp import EQ, GE, OPTIMAL, LpProblem, solve
 from desir.spaces import Gamble, omega_factor_space, prizes_factor_space
 
 
@@ -37,3 +38,75 @@ def strong_product_lower(m_omega, m_x, f):
         for vx in m_x.vertices
     ]
     return min(vo(g) for g in inners for vo in m_omega.vertices)
+
+
+def family_contains_bruteforce(family, f):
+    """Membership in a ConditionalFamilySet by trying every nonempty block
+    subset: f = h + sum over the subset of B_i y_i with h >= 0 and every
+    P_i(y_i) > 0, or f >= 0 and nonzero.  At f = 0 a True answer means the
+    family incurs partial loss."""
+    if f.is_positive():
+        return True
+    k = len(family.assessments)
+    return any(
+        _subset_feasible(family, f, [i for i in range(k) if mask & (1 << i)])
+        for mask in range(1, 1 << k)
+    )
+
+
+def _subset_feasible(family, f, used):
+    # variables: per used block: g over its cells, bound m, slack eps;
+    # then one residual per space cell, then the common slack delta.
+    space = family.space
+    n = space.n_cells
+    m_prizes = space.n_prizes
+    offsets = []
+    width = 0
+    for i in used:
+        offsets.append(width)
+        width += len(family.assessments[i].event.cells) + 2
+    h0 = width
+    width += n
+    dcol = width
+    width += 1
+
+    def empty_row():
+        return [Fraction(0)] * width
+
+    cons = []
+    bounds = []
+    for pos, i in enumerate(used):
+        cells = family.assessments[i].event.cells
+        base = offsets[pos]
+        bounds.extend([(None, None)] * len(cells))
+        bounds.append((None, None))  # m_i
+        bounds.append((Fraction(0), None))  # eps_i
+        for v in family.assessments[i].vertices:
+            row = empty_row()
+            for x, k2 in zip(v, range(len(cells))):
+                row[base + k2] = x
+            row[base + len(cells)] = Fraction(-1)
+            cons.append((row, GE, Fraction(0)))
+        row = empty_row()
+        row[base + len(cells) + 1] = Fraction(1)
+        row[dcol] = Fraction(-1)
+        cons.append((row, GE, Fraction(0)))
+    bounds.extend([(Fraction(0), None)] * n)  # residual h
+    bounds.append((Fraction(0), Fraction(1)))  # delta
+    for c in range(n):
+        i_state, j_prize = divmod(c, m_prizes)
+        row = empty_row()
+        row[h0 + c] = Fraction(1)
+        for pos, i in enumerate(used):
+            cells = family.assessments[i].event.cells
+            base = offsets[pos]
+            if (i_state, j_prize) in cells:
+                k2 = cells.index((i_state, j_prize))
+                row[base + k2] = Fraction(1)
+                row[base + len(cells)] = Fraction(-1)
+                row[base + len(cells) + 1] = Fraction(1)
+        cons.append((row, EQ, f.values[i_state][j_prize]))
+    obj = empty_row()
+    obj[dcol] = Fraction(1)
+    out = solve(LpProblem.build(obj, "max", cons, bounds))
+    return out.status == OPTIMAL and out.optimum > 0

@@ -110,13 +110,31 @@ def _blocks(transcript):
 def test_committed_certificates_byte_identical(doc_path):
     # every printed certificate of the committed benchmark outputs, so a
     # refactor of the LP layer cannot move a witness unnoticed
+    wanted = _replay_committed(doc_path, lambda cmd: cmd.endswith(" certificate"))
+    assert all(cmd.startswith("member ") for cmd, _ in wanted)
+
+
+def test_committed_previsions_byte_identical():
+    # every lower and conditional lower prevision of the augmented workload,
+    # the values the cone layer's case split decides
+    doc_path = BENCH_DATA / "augmented-cond" / "augmented.doc.txt"
+    wanted = _replay_committed(
+        doc_path, lambda cmd: cmd.split()[0] in ("lowprev", "condlowprev")
+    )
+    assert {cmd.split()[0] for cmd, _ in wanted} == {"lowprev", "condlowprev"}
+
+
+def _replay_committed(doc_path, keep):
+    """Rerun the committed queries that ``keep`` selects and compare their
+    answer blocks with the committed output; returns the blocks."""
     stem = doc_path.name.split(".")[0]
     expected = (doc_path.parent / f"{stem}.expected.txt").read_text()
-    wanted = [b for b in _blocks(expected) if b[0].endswith(" certificate")]
-    assert wanted and all(cmd.startswith("member ") for cmd, _ in wanted)
+    wanted = [b for b in _blocks(expected) if keep(b[0])]
+    assert wanted
     doc = parse_document(doc_path.read_text())
     script = "\n".join(cmd for cmd, _ in wanted)
     assert _blocks(run_script(doc, script)) == wanted
+    return wanted
 
 
 def test_main_exit_codes(tmp_path, capsys):

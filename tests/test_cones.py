@@ -4,8 +4,10 @@ import pytest
 
 from desir.cones import (
     ConditionalAssessment,
+    ConditionalFamilySet,
     DesirSet,
     MembershipVerdict,
+    PositiveCombination,
     avoids_partial_loss,
     build_from_conditional_family,
 )
@@ -13,7 +15,8 @@ from desir.credal import CredalSet
 from desir.errors import ModelError
 from desir.spaces import EventSet, Gamble, Space
 
-from conftest import rand_gamble, rand_space
+from conftest import rand_gamble, rand_mass_row, rand_space
+from oracles import family_contains_bruteforce
 
 COIN = Space(("h", "t"), ("x",))
 
@@ -170,6 +173,47 @@ def test_vacuous_conditional_is_min():
     f = g2(5, -7)
     assert d.conditional_lower_prevision(f, EventSet.from_states(COIN, ["t"])) == -7
     assert d.conditional_lower_prevision(f, EventSet.all_cells(COIN)) == -7
+
+
+TRI = Space(("a", "b", "c"), ("x",))
+
+
+def g3(a, b, c):
+    return Gamble.of(TRI, [[a], [b], [c]])
+
+
+@pytest.fixture
+def tri_dependent():
+    # b1, b2 and b1 + b2 as border rays of the uniform prevision
+    uniform = CredalSet.point(TRI, (F(1, 3), F(1, 3), F(1, 3)))
+    return DesirSet.augmented(uniform, [g3(1, -1, 0), g3(0, 1, -1), g3(1, 0, -1)])
+
+
+def test_border_ray_plus_constant_conditional(coin_r2, tri_dependent):
+    for d in (coin_r2, tri_dependent):
+        every = EventSet.all_cells(d.space)
+        for b in d.borders:
+            for c in (F(-2), F(0), F(5, 3)):
+                shifted = b + Gamble.constant(d.space, c)
+                assert d.conditional_lower_prevision(shifted, every) == c
+
+
+def test_constant_on_event_conditional(coin_r2, tri_dependent):
+    ab = EventSet.from_states(TRI, ["a", "b"])
+    every = EventSet.all_cells(COIN)
+    for c in (F(-3), F(0), F(7, 2)):
+        assert tri_dependent.conditional_lower_prevision(g3(c, c, 9), ab) == c
+        assert tri_dependent.conditional_lower_prevision(g3(c, c, c), ab) == c
+        assert coin_r2.conditional_lower_prevision(g2(c, c), every) == c
+
+
+def test_dependent_borders_combination_member(tri_dependent):
+    f = g3(1, 0, -1)  # b1 + b2, itself a border ray
+    verdict = tri_dependent.member(f)
+    assert verdict.member
+    cert = verdict.certificate
+    assert isinstance(cert, PositiveCombination) and cert.residual.is_zero()
+    assert cert.replays(tri_dependent, f)
 
 
 def test_strict_mixed_support_conditional():
@@ -515,11 +559,83 @@ def test_family_empty_is_vacuous(rng):
 
 
 def test_family_probe_rejection():
+    # P(h | everything) = 1 and P(t | everything) = 1 incur partial loss:
+    # (1, -5) + (-5, 1) < 0 with both summands strictly desirable
     b = EventSet.all_cells(COIN)
     fam = [
         ConditionalAssessment.of(b, [(1, 0)]),
         ConditionalAssessment.of(b, [(0, 1)]),
     ]
-    probes = [{0: g2(1, 0), 1: g2(0, 1)}]
-    with pytest.raises(ModelError):
-        build_from_conditional_family(COIN, fam, probes)
+    with pytest.raises(ModelError, match="partial loss"):
+        build_from_conditional_family(COIN, fam)
+
+
+def _rand_family(rng):
+    space = rand_space(rng, max_states=4, max_prizes=2, worst=False)
+    cells = space.cells()
+    family = []
+    for _ in range(rng.randint(1, 5)):
+        event = EventSet(space, tuple(rng.sample(cells, rng.randint(1, len(cells)))))
+        width = len(event.cells)
+        vertices = [rand_mass_row(rng, width) for _ in range(rng.randint(1, 2))]
+        family.append(ConditionalAssessment.of(event, vertices))
+    return space, family
+
+
+def _boundary_gamble(rng, space, family):
+    """A sum of called-off gambles with conditional lower prevision zero,
+    nudged by at most one small constant."""
+    f = Gamble.zero(space)
+    for a in rng.sample(family, rng.randint(1, len(family))):
+        y = rand_gamble(rng, space, lo=-3, hi=3, max_den=2)
+        f = f + (y - Gamble.constant(space, a.lower(y))).restricted_to(a.event)
+    nudge = rng.choice((F(0), F(0), F(1, 4), F(-1, 4)))
+    return f + Gamble.constant(space, nudge)
+
+
+def test_family_matches_subset_bruteforce(rng):
+    checked = 0
+    while checked < 150:
+        space, family = _rand_family(rng)
+        loses = family_contains_bruteforce(
+            ConditionalFamilySet(space, tuple(family)), Gamble.zero(space)
+        )
+        try:
+            fam = build_from_conditional_family(space, family)
+        except ModelError:
+            assert loses
+            continue
+        assert not loses
+        for _ in range(3):
+            for f in (
+                rand_gamble(rng, space, lo=-3, hi=3, max_den=2),
+                _boundary_gamble(rng, space, family),
+            ):
+                if not f.is_zero():
+                    assert fam.contains(f) == family_contains_bruteforce(fam, f)
+                    checked += 1
+
+
+def test_family_ten_block_ring():
+    # blocks {s_i, s_i+1} around a ring of ten states, each with the
+    # fair conditional prevision; every member has positive total mass
+    n = 10
+    ring = Space(tuple(f"s{i}" for i in range(n)), ("x",))
+    fam = build_from_conditional_family(
+        ring,
+        [
+            ConditionalAssessment.of(
+                EventSet.from_states(ring, [f"s{i}", f"s{(i + 1) % n}"]),
+                [(F(1, 2), F(1, 2))],
+            )
+            for i in range(n)
+        ],
+    )
+
+    def unit(*head):
+        return Gamble.of(ring, [[v] for v in list(head) + [0] * (n - len(head))])
+
+    assert not fam.contains(unit(1, -1))
+    assert fam.contains(unit(2, -1))
+    assert fam.contains(unit(0, 0, 0, 0, 0, 0, 0, 0, 3, -1))
+    assert not fam.contains(unit(1, 1, -1, -1))
