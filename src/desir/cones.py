@@ -207,9 +207,8 @@ class DesirSet:
                 raise ModelError("the zero gamble cannot be desirable")
         ok, witness = avoids_partial_loss(space, gens)
         if not ok:
-            raise ModelError(
-                f"assessments incur partial loss (convex weights {witness})"
-            )
+            w = ",".join(f"{x.numerator}/{x.denominator}" for x in witness)
+            raise ModelError(f"assessments incur partial loss (convex weights {w})")
         return DesirSet(space, FG, generators=gens)
 
     @staticmethod

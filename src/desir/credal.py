@@ -9,11 +9,14 @@ from constraints enumerate their vertices eagerly; sets built from points
 (convex hulls, products, mixtures) keep only the V-form and answer
 membership through exact linear programs.
 
-Vertex enumeration is the desk-scale combinatorial method: every vertex
-of {p >= 0, sum p = 1, G p >= 0} solves a square system picked from the
-active-constraint pool, so trying all pools of the right size, solving
-exactly and filtering feasibility finds them all.  A configurable bound
-rejects instances where that would blow up.
+Vertex enumeration is the desk-scale active-set sweep: every vertex of
+{p >= 0, sum p = 1, G p >= 0} is the unique solution of n - 1 active rows
+plus sum p = 1.  A choice of c constraint rows leaves c + 1 free cells
+(the chosen unit rows p_j = 0 pin the rest), so each candidate is a
+(c + 1)-square integer system, solved fraction-free (Bareiss) on the
+constraint rows scaled to integers, then filtered for feasibility.  The
+one bound, ENUMERATION_BUDGET, caps the candidate count C(n + k, n - 1)
+before any solve and raises ResourceLimitError past it.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ from .spaces import (
     prizes_factor_space,
 )
 
-#: Desk-scale cap on (cell count + constraint count) for vertex enumeration.
-DESK_SCALE_BOUND = 24
-#: Secondary hard cap on the number of candidate active sets tried.
+#: Cap on the candidate active sets C(n + k, n - 1), checked before any solve.
 ENUMERATION_BUDGET = 200_000
 
 
@@ -76,23 +77,26 @@ class LinearPrevision:
         return sum((self.mass[i * m + j] for i, j in event.cells), Fraction(0))
 
 
-def _gauss_solve(rows: list[list[Rat]], rhs: list[Rat]) -> Optional[list[Rat]]:
-    """Solve a square exact system; None when singular."""
-    n = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+def _bareiss_solve(m: list[list[int]]) -> Optional[tuple[list[int], int]]:
+    """Fraction-free Gauss-Jordan (Bareiss) on an integer [A | b], in place:
+    (y, d) with A y = d b and d = +-det A, or None when A is singular.
+    Every division is exact, since every entry is a minor of [A | b]."""
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             return None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+        m[k], m[piv] = m[piv], m[k]
+        pk = m[k]
+        d = pk[k]
+        for i, row in enumerate(m):
+            if i != k:
+                a = row[k]
+                for j in range(k + 1, n + 1):
+                    row[j] = (d * row[j] - a * pk[j]) // prev
+        prev = d
+    return [row[n] for row in m], prev
 
 
 def enumerate_vertices(
@@ -101,45 +105,51 @@ def enumerate_vertices(
     """All vertices of {p in simplex : P(g) >= 0 for each constraint g}.
 
     Exact, duplicate-free, lexicographically ordered.  Raises
-    ResourceLimitError past the desk-scale enumeration budget.
+    ResourceLimitError, before any solve, when the candidate count
+    C(n + k, n - 1) exceeds ENUMERATION_BUDGET.
     """
     n = space.n_cells
     for g in constraints:
         if g.space != space:
             raise InputError("constraint gamble on the wrong space")
-    pool: list[tuple[Rat, ...]] = []
-    for j in range(n):
-        row = [Fraction(0)] * n
-        row[j] = Fraction(1)
-        pool.append(tuple(row))
-    for g in constraints:
-        pool.append(g.flat())
-
-    if n + len(constraints) > DESK_SCALE_BOUND or (
-        n >= 1 and math.comb(len(pool), n - 1) > ENUMERATION_BUDGET
-    ):
+    k = len(constraints)
+    candidates = math.comb(n + k, n - 1)
+    if candidates > ENUMERATION_BUDGET:
         raise ResourceLimitError(
-            f"vertex enumeration over {len(constraints)} constraints in "
-            f"dimension {n} exceeds the desk-scale bound"
+            f"vertex enumeration in dimension {n} with {k} constraint(s) "
+            f"tries {candidates} active sets, over the budget of {ENUMERATION_BUDGET}"
         )
-
-    ones = [Fraction(1)] * n
-    cflats = pool[n:]
+    # positive integer rescaling keeps every sign and every zero set
+    rows = []
+    for g in constraints:
+        flat = g.flat()
+        scale = math.lcm(*(v.denominator for v in flat))
+        rows.append([int(v * scale) for v in flat])
+    # c constraint rows and n - 1 - c unit rows p_j = 0 leave the c rows and
+    # sum p = 1 over c + 1 free cells; the determinant is +- the full one's
     seen = set()
-    for combo in itertools.combinations(range(len(pool)), n - 1):
-        rows = [list(pool[k]) for k in combo]
-        rows.append(ones)
-        sol = _gauss_solve(rows, [Fraction(0)] * (n - 1) + [Fraction(1)])
-        if sol is None:
-            continue
-        if any(v < 0 for v in sol):
-            continue
-        if any(
-            sum((c * v for c, v in zip(cf, sol)), Fraction(0)) < 0 for cf in cflats
-        ):
-            continue
-        seen.add(tuple(sol))
-    return tuple(LinearPrevision(space, m) for m in sorted(seen))
+    for c in range(min(k, n - 1) + 1):
+        for chosen in itertools.combinations(rows, c):
+            for free in itertools.combinations(range(n), c + 1):
+                system = [[1] * (c + 2)] + [[r[j] for j in free] + [0] for r in chosen]
+                sol = _bareiss_solve(system)
+                if sol is None:
+                    continue
+                y, d = sol
+                if d < 0:
+                    y = [-v for v in y]
+                if any(v < 0 for v in y):
+                    continue
+                if any(sum(r[j] * v for j, v in zip(free, y)) < 0 for r in rows):
+                    continue
+                scale = math.gcd(*y)
+                seen.add(tuple((j, v // scale) for j, v in zip(free, y) if v))
+    points = []
+    for support in seen:
+        y = dict(support)
+        total = sum(y.values())
+        points.append(tuple(Fraction(y.get(j, 0), total) for j in range(n)))
+    return tuple(LinearPrevision(space, m) for m in sorted(points))
 
 
 def _hull_contains(vertices: Sequence[tuple[Rat, ...]], point: tuple[Rat, ...]) -> bool:
@@ -204,33 +214,30 @@ class CredalSet:
         return CredalSet.from_vertices(space, [mass])
 
     def _check_double_inclusion(self):
-        """V-form inside H-form exactly, and H-form inside the hull, the
-        latter certified on the canonical direction family (coordinates
-        and constraint rows, both signs)."""
+        """Necessary-condition self-check of the enumeration, not a proof:
+        every vertex satisfies every constraint, and on each canonical
+        direction (coordinates and constraint rows) the H-form LP optimum
+        equals the vertex extreme, in both senses.  Completeness comes from
+        the sweep itself: every vertex is the unique solution of n
+        independent active rows, and the sweep tries every such choice."""
         assert self.constraints is not None
-        for v in self.vertices:
-            for g in self.constraints:
-                if v(g) < 0:
-                    raise InternalError("enumerated vertex violates a constraint")
         n = self.space.n_cells
-        directions: list[tuple[Rat, ...]] = []
-        for j in range(n):
-            row = [Fraction(0)] * n
-            row[j] = Fraction(1)
-            directions.append(tuple(row))
-        for g in self.constraints:
-            directions.append(g.flat())
+        directions = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+        directions.extend(g.flat() for g in self.constraints)
+        supports = [[(j, x) for j, x in enumerate(v.mass) if x] for v in self.vertices]
+        values = [
+            [sum((d[j] * x for j, x in s), Fraction(0)) for s in supports]
+            for d in directions
+        ]
+        if any(min(vals) < 0 for vals in values[n:]):
+            raise InternalError("enumerated vertex violates a constraint")
         cons = [(list(g.flat()), GE, Fraction(0)) for g in self.constraints]
         cons.append(([Fraction(1)] * n, EQ, Fraction(1)))
-        for d in directions:
-            for sense in ("max", "min"):
+        for d, vals in zip(directions, values):
+            for sense, ext in (("max", max(vals)), ("min", min(vals))):
                 out = solve(LpProblem.build(list(d), sense, cons))
                 if out.status != OPTIMAL:
                     raise InternalError("H-polytope optimisation failed")
-                ext = (max if sense == "max" else min)(
-                    sum((c * v for c, v in zip(d, p.mass)), Fraction(0))
-                    for p in self.vertices
-                )
                 if ext != out.optimum:
                     raise InternalError(
                         "H-form and V-form disagree on a support direction"
@@ -295,30 +302,17 @@ class CredalSet:
     # -- marginals ----------------------------------------------------
 
     def marginal_omega(self) -> "CredalSet":
-        factor = omega_factor_space(self.space)
-        masses = []
-        for v in self.vertices:
-            m = self.space.n_prizes
-            masses.append(
-                tuple(
-                    sum(v.mass[i * m : (i + 1) * m], Fraction(0))
-                    for i in range(self.space.n_states)
-                )
-            )
-        return CredalSet.from_vertices(factor, masses)
+        m, cells = self.space.n_prizes, self.space.n_cells
+        masses = [
+            tuple(sum(v.mass[i : i + m], Fraction(0)) for i in range(0, cells, m))
+            for v in self.vertices
+        ]
+        return CredalSet.from_vertices(omega_factor_space(self.space), masses)
 
     def marginal_prizes(self) -> "CredalSet":
-        factor = prizes_factor_space(self.space)
         m = self.space.n_prizes
-        masses = []
-        for v in self.vertices:
-            masses.append(
-                tuple(
-                    sum(
-                        (v.mass[i * m + j] for i in range(self.space.n_states)),
-                        Fraction(0),
-                    )
-                    for j in range(m)
-                )
-            )
-        return CredalSet.from_vertices(factor, masses)
+        masses = [
+            tuple(sum(v.mass[j::m], Fraction(0)) for j in range(m))
+            for v in self.vertices
+        ]
+        return CredalSet.from_vertices(prizes_factor_space(self.space), masses)

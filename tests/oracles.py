@@ -2,14 +2,60 @@
 
 The product oracles enumerate vertex combinations directly, with no hull
 construction and no LP; the family oracle enumerates block subsets with
-one LP each.  Each is an independent route to the same exact answer.
+one LP each; the vertex oracle solves every full n x n active-set system
+in Fractions.  Each is an independent route to the same exact answer.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
+from desir.credal import ENUMERATION_BUDGET
+from desir.errors import ResourceLimitError
 from desir.lp import EQ, GE, OPTIMAL, LpProblem, solve
 from desir.spaces import Gamble, omega_factor_space, prizes_factor_space
+
+
+def _gauss_solve(rows, rhs):
+    """Solve a square exact system by Gauss-Jordan; None when singular."""
+    n = len(rows)
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col]
+        a[col] = [v / inv for v in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [v - f * w for v, w in zip(a[i], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def enumerate_vertices_bruteforce(space, constraints):
+    """Vertex masses of {p in simplex : P(g) >= 0}, sorted: every choice of
+    n - 1 rows from the pool (unit rows p_j = 0, then the constraint rows)
+    plus sum p = 1, solved as a full n x n Fraction system and filtered
+    for feasibility.  Same candidate budget as the kernel."""
+    n = space.n_cells
+    pool = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    pool.extend(g.flat() for g in constraints)
+    if math.comb(len(pool), n - 1) > ENUMERATION_BUDGET:
+        raise ResourceLimitError("over the enumeration budget")
+    ones = [Fraction(1)] * n
+    seen = set()
+    for combo in itertools.combinations(pool, n - 1):
+        rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+        sol = _gauss_solve(list(combo) + [ones], rhs)
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        if any(sum(c * v for c, v in zip(cf, sol)) < 0 for cf in pool[n:]):
+            continue
+        seen.add(tuple(sol))
+    return tuple(sorted(seen))
 
 
 def _prize_row(f, state):

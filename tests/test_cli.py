@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,6 +138,21 @@ def _replay_committed(doc_path, keep):
     script = "\n".join(cmd for cmd, _ in wanted)
     assert _blocks(run_script(doc, script)) == wanted
     return wanted
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "desir", "check", str(DATA / "coin.txt")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 def test_main_exit_codes(tmp_path, capsys):

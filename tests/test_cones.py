@@ -56,7 +56,7 @@ def test_apl_empty():
 
 
 def test_incoherent_generators_rejected():
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match=r"\(convex weights 1/2,1/2\)$"):
         DesirSet.from_generators(COIN, [g2(1, -1), g2(-1, 1)])
     with pytest.raises(ModelError):
         DesirSet.from_generators(COIN, [Gamble.zero(COIN)])

@@ -12,6 +12,7 @@ from desir.errors import InputError, ModelError, ResourceLimitError
 from desir.spaces import EventSet, Gamble, Space
 
 from conftest import rand_gamble, rand_space
+from oracles import enumerate_vertices_bruteforce
 
 COIN = Space(("h", "t"), ("x",))
 TRI = Space(("a", "b", "c"), ("x",))
@@ -48,9 +49,55 @@ def test_empty_credal_set_rejected():
 
 
 def test_enumeration_budget():
+    # C(20 + 6, 19) = 657800 candidate active sets, past the budget
+    big = Space(tuple(f"w{i}" for i in range(20)), ("x",))
+    cons = (Gamble.constant(big, 1),) * 6
+    with pytest.raises(ResourceLimitError, match="657800 active sets"):
+        enumerate_vertices(big, cons)
+
+
+def test_thirty_cell_vacuous_set():
     big = Space(tuple(f"w{i}" for i in range(30)), ("x",))
-    with pytest.raises(ResourceLimitError):
-        enumerate_vertices(big, ())
+    vs = enumerate_vertices(big, ())
+    assert [v.mass for v in vs] == [
+        tuple(F(int(i == j)) for i in range(30)) for j in reversed(range(30))
+    ]
+
+
+def _kernel_masses(space, cons):
+    return tuple(v.mass for v in enumerate_vertices(space, cons))
+
+
+def _masses_or_limit(enumerator, space, cons):
+    try:
+        return enumerator(space, cons)
+    except ResourceLimitError:
+        return "over budget"
+
+
+def test_enumeration_matches_full_system_bruteforce(rng):
+    """Reduced integer systems give the vertices of the full Fraction sweep,
+    on rational rows, all-zero rows and duplicated rows."""
+    nonempty = 0
+    for _ in range(50):
+        space = rand_space(rng, worst=False)
+        cons = []
+        for _ in range(rng.randint(0, 4)):
+            pick = rng.random()
+            if pick < 0.15:
+                cons.append(Gamble.zero(space))
+            elif pick < 0.3 and cons:
+                cons.append(rng.choice(cons))
+            else:
+                cons.append(rand_gamble(rng, space))
+        expected = _masses_or_limit(enumerate_vertices_bruteforce, space, cons)
+        assert _masses_or_limit(_kernel_masses, space, cons) == expected
+        nonempty += bool(expected)
+    assert nonempty >= 25
+    over = Space(tuple(f"w{i}" for i in range(20)), ("x",))
+    cons = [Gamble.zero(over)] * 6
+    for enumerator in (_kernel_masses, enumerate_vertices_bruteforce):
+        assert _masses_or_limit(enumerator, over, cons) == "over budget"
 
 
 def test_from_vertices_prunes_interior_points():
