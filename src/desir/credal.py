@@ -63,14 +63,8 @@ class LinearPrevision:
     def __call__(self, f: Gamble) -> Rat:
         if f.space != self.space:
             raise InputError("gamble and prevision live on different spaces")
-        total = Fraction(0)
-        k = 0
-        for row in f.values:
-            for v in row:
-                if v:
-                    total += v * self.mass[k]
-                k += 1
-        return total
+        cells = itertools.chain.from_iterable(f.values)
+        return sum((v * p for v, p in zip(cells, self.mass) if p and v), Fraction(0))
 
     def of_event(self, event: EventSet) -> Rat:
         m = self.space.n_prizes

@@ -9,11 +9,15 @@ Scalars are ``fractions.Fraction`` (aliased ``Rat``).  Internally each
 tableau row is kept as a list of integer numerators with one shared
 positive denominator; a pivot then needs one gcd reduction per row
 instead of one per entry, which is what makes the thousands of small
-membership programs run by the upper layers cheap.
+membership programs run by the upper layers cheap.  The problem goes
+into that form in one pass (:func:`_standard_form`), with no
+Fraction-valued intermediate copy of the standard form.
 
 Pivoting uses Bland's rule (smallest eligible index), so the solver
 terminates on every input and two runs on the same problem produce
-bit-identical outcomes.
+bit-identical outcomes.  The phase-2 objective row is carried through
+the phase-1 pivots, which keep it reduced against the basis, so phase 2
+starts without re-expressing it.
 
 Outcomes carry certificates: an optimal witness that satisfies every
 constraint exactly, or, on infeasibility, Farkas multipliers for the
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError
@@ -85,19 +89,27 @@ class LpProblem:
         constraints: Sequence[tuple[Sequence, str, object]],
         bounds: Optional[Sequence[tuple[Optional[object], Optional[object]]]] = None,
     ) -> "LpProblem":
-        obj = tuple(rat(c) for c in objective)
+        # Tuples are built from lists: CPython then takes each from its free
+        # tuples of the final size, while a tuple grown from a generator is
+        # resized into place and, once freed, parks in that free list until
+        # a full collection, which raises peak memory.
+        obj = tuple([rat(c) for c in objective])
         rows = tuple(
-            LinearConstraint(tuple(rat(a) for a in coeffs), rel, rat(rhs))
-            for coeffs, rel, rhs in constraints
+            [
+                LinearConstraint(tuple([rat(a) for a in coeffs]), rel, rat(rhs))
+                for coeffs, rel, rhs in constraints
+            ]
         )
         if bounds is None:
-            bnds: tuple[tuple[Optional[Rat], Optional[Rat]], ...] = tuple(
-                (Fraction(0), None) for _ in obj
-            )
+            bnds: tuple[tuple[Optional[Rat], Optional[Rat]], ...] = (
+                (Fraction(0), None),
+            ) * len(obj)
         else:
             bnds = tuple(
-                (None if lo is None else rat(lo), None if hi is None else rat(hi))
-                for lo, hi in bounds
+                [
+                    (None if lo is None else rat(lo), None if hi is None else rat(hi))
+                    for lo, hi in bounds
+                ]
             )
         return LpProblem(obj, sense, rows, bnds)
 
@@ -143,114 +155,96 @@ class LpOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Internal standard form
+# Integer standard form
 #
 # Variables are shifted / split so every internal variable is >= 0; finite
 # upper bounds become extra rows.  Every row is normalised to a nonnegative
 # right-hand side and receives slack/surplus plus one artificial variable,
 # so the initial basis is the artificial identity and Farkas multipliers can
 # be read off the phase-1 reduced costs uniformly.
+#
+# Rows are built in one pass straight into integer numerators over the lcm
+# of their entries' denominators.  That (numerators, denominator) pair is
+# the row's unique lowest-terms form, the one every pivot restores, so the
+# tableau and hence Bland's path depend only on the rational problem.
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class _Internal:
-    n_struct: int  # structural internal columns
-    col_of_var: list  # per original var: ("shift", col, offset) | ("split", col+, col-)
-    rows: list  # list of (coeffs: list[Rat], relation, rhs: Rat) pre-normalisation
-    obj: list  # internal min-objective over structural columns
-    obj_const: Rat  # constant offset contributed by bound shifts
-    sense_flip: bool  # True when the original problem was a max
+_FLIP = {LE: GE, GE: LE, EQ: EQ}
 
 
-def _internalize(problem: LpProblem) -> _Internal:
-    n = len(problem.objective)
-    col_of_var = []
+def _standard_form(problem: LpProblem):
+    """Integer rows of min c'.x' subject to A'x' = b, x' >= 0, b >= 0.
+
+    Returns ``(rows, dens, cols, objective)``.  ``rows[i]`` holds the
+    numerators of ``[A'_i | b_i]`` over the positive ``dens[i]``; columns
+    are structural, then one slack/surplus per inequality row; rows are
+    the constraints, then one row per finite upper bound.  ``cols[j]`` is
+    ``(col, lo)``: variable j is ``x'_col + lo``, or ``x'_col - x'_col+1``
+    when ``lo`` is None.  ``objective`` is ``(nums, den)`` of the min-form
+    row ``[c' | -k]``, with k the constant the shifts add to c'.x'.
+    """
+    cols = []
     n_struct = 0
-    shifts: list[tuple[int, Rat]] = []  # (original var, offset) for rhs fixups
-    extra_rows: list[tuple[list[Rat], str, Rat]] = []
+    for lo, _ in problem.bounds:
+        cols.append((n_struct, lo))
+        n_struct += 1 if lo is not None else 2
 
+    def shift(coeffs):
+        pairs = zip(coeffs, cols)
+        return sum((a * lo for a, (_, lo) in pairs if a and lo), Fraction(0))
+
+    specs = [
+        (con.coeffs, con.relation, con.rhs - shift(con.coeffs))
+        for con in problem.constraints
+    ]
     # Note: an empty box (hi < lo) flows through as an infeasible bound
     # row, so the certificate machinery covers that case uniformly.
     for j, (lo, hi) in enumerate(problem.bounds):
-        if lo is None:
-            col_of_var.append(("split", n_struct, n_struct + 1))
-            n_struct += 2
-        else:
-            col_of_var.append(("shift", n_struct, lo))
-            if lo != 0:
-                shifts.append((j, lo))
-            n_struct += 1
+        if hi is not None:
+            unit = [0] * len(cols)
+            unit[j] = 1
+            specs.append((unit, LE, hi if lo is None else hi - lo))
+    n_cols = n_struct + sum(rel != EQ for _, rel, _ in specs)
 
-    def expand(coeffs: Sequence[Rat]) -> list[Rat]:
-        out = [Fraction(0)] * n_struct
-        for j, a in enumerate(coeffs):
-            if not a:
-                continue
-            kind = col_of_var[j]
-            if kind[0] == "shift":
-                out[kind[1]] += a
-            else:
-                out[kind[1]] += a
-                out[kind[2]] -= a
-        return out
+    def integer_row(coeffs, rhs, sign):
+        den = rhs.denominator
+        for a in coeffs:
+            if a:
+                den = lcm(den, a.denominator)
+        row = [0] * (n_cols + 1)
+        for a, (col, lo) in zip(coeffs, cols):
+            if a:
+                row[col] = v = sign * a.numerator * (den // a.denominator)
+                if lo is None:
+                    row[col + 1] = -v
+        row[-1] = sign * rhs.numerator * (den // rhs.denominator)
+        return row, den
 
-    rows = []
-    for con in problem.constraints:
-        rhs = con.rhs
-        for j, off in shifts:
-            rhs -= con.coeffs[j] * off
-        rows.append((expand(con.coeffs), con.relation, rhs))
-
-    # Finite upper bounds: x'_j <= hi - lo  (or x+ - x- <= hi for free vars).
-    for j, (lo, hi) in enumerate(problem.bounds):
-        if hi is None:
-            continue
-        unit = [Fraction(0)] * n
-        unit[j] = Fraction(1)
-        rhs = hi if lo is None else hi - lo
-        extra_rows.append((expand(unit), LE, rhs))
-    rows.extend(extra_rows)
-
-    sense_flip = problem.sense == "max"
-    obj = expand(problem.objective)
-    obj_const = Fraction(0)
-    for j, off in shifts:
-        obj_const += problem.objective[j] * off
-    if sense_flip:
-        obj = [-c for c in obj]
-        obj_const = -obj_const
-    return _Internal(n_struct, col_of_var, rows, obj, obj_const, sense_flip)
-
-
-def _standard_matrix(internal: _Internal):
-    """Equality standard form: columns = structural + slack/surplus, b >= 0.
-
-    Returns (columns_by_row, b, slack_col_of_row) where each row i reads
-    sum_j A[i][j] x_j = b[i] over nonnegative x.
-    """
-    m = len(internal.rows)
-    n = internal.n_struct
-    n_slack = sum(1 for _, rel, _ in internal.rows if rel != EQ)
-    a = [[Fraction(0)] * (n + n_slack) for _ in range(m)]
-    b = []
-    slack_at = n
-    for i, (coeffs, rel, rhs) in enumerate(internal.rows):
+    rows, dens = [], []
+    slack = n_struct
+    for coeffs, rel, rhs in specs:
         sign = 1
         if rhs < 0:
-            sign = -1
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        for j, c in enumerate(coeffs):
-            a[i][j] = sign * c
-        if rel == LE:
-            a[i][slack_at] = Fraction(1)
-            slack_at += 1
-        elif rel == GE:
-            a[i][slack_at] = Fraction(-1)
-            slack_at += 1
-        b.append(rhs)
-    return a, b
+            sign, rel = -1, _FLIP[rel]
+        row, den = integer_row(coeffs, rhs, sign)
+        if rel != EQ:
+            row[slack] = den if rel == LE else -den
+            slack += 1
+        rows.append(row)
+        dens.append(den)
+    c = problem.objective
+    objective = integer_row(c, -shift(c), -1 if problem.sense == "max" else 1)
+    return rows, dens, cols, objective
+
+
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """Divide a row's numerators and positive denominator by their gcd."""
+    g = den
+    for v in nums:
+        g = gcd(g, v)
+        if g == 1:
+            return nums, den
+    return [v // g for v in nums], den // g
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +262,12 @@ class _Tableau:
 
     __slots__ = ("nums", "dens", "basis", "m", "width")
 
-    def __init__(self, rows_rat: list[list[Rat]], n_obj_rows: int):
-        self.nums: list[list[int]] = []
-        self.dens: list[int] = []
-        for row in rows_rat:
-            den = 1
-            for v in row:
-                d = v.denominator
-                den = den * d // gcd(den, d)
-            nums = [v.numerator * (den // v.denominator) for v in row]
-            self._push_reduced(nums, den)
-        self.m = len(rows_rat) - n_obj_rows
-        self.width = len(rows_rat[0]) if rows_rat else 0
-        self.basis = []
-
-    def _push_reduced(self, nums: list[int], den: int):
-        g = den
-        for v in nums:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            nums = [v // g for v in nums]
-            den //= g
-        self.nums.append(nums)
-        self.dens.append(den)
+    def __init__(self, nums: list[list[int]], dens: list[int], basis: list[int]):
+        self.nums = nums
+        self.dens = dens
+        self.basis = basis
+        self.m = len(basis)
+        self.width = len(nums[0])
 
     def value(self, i: int, j: int) -> Rat:
         return Fraction(self.nums[i][j], self.dens[i])
@@ -306,39 +281,18 @@ class _Tableau:
             row_r = [-v for v in row_r]
             piv = -piv
         # Normalised pivot row: value v_rj / v_rc; row denominator cancels.
-        new_den_r = piv
-        g = new_den_r
-        for v in row_r:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            row_r = [v // g for v in row_r]
-            new_den_r //= g
+        row_r, new_den_r = _lowest(row_r, piv)
         for i in range(len(self.nums)):
             if i == r:
                 continue
             fac = self.nums[i][c]
             if fac == 0:
                 continue
-            row_i = self.nums[i]
-            den_i = self.dens[i]
             # v'_ij = v_ij - v_ic * (n_rj / piv')  with piv' = new_den_r
-            new = [
-                a * new_den_r - fac * b
-                for a, b in zip(row_i, row_r)
-            ]
-            den = den_i * new_den_r
-            g = den
-            for v in new:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                new = [v // g for v in new]
-                den //= g
-            self.nums[i] = new
-            self.dens[i] = den
+            self.nums[i], self.dens[i] = _lowest(
+                [a * new_den_r - fac * b for a, b in zip(self.nums[i], row_r)],
+                self.dens[i] * new_den_r,
+            )
         self.nums[r] = row_r
         self.dens[r] = new_den_r
 
@@ -378,159 +332,79 @@ def _bland(tab: _Tableau, zrow: int, allowed_cols: Sequence[int], cap: int) -> s
 
 def solve(problem: LpProblem) -> LpOutcome:
     """Solve exactly; deterministic for identical input."""
-    internal = _internalize(problem)
-    a, b = _standard_matrix(internal)
-    m = len(a)
-    n_cols = len(a[0]) if m else internal.n_struct
-    art0 = n_cols
+    rows, dens, cols, (z2, z2_den) = _standard_form(problem)
+    m = len(rows)
+    n_cols = art0 = len(z2) - 1
     width = n_cols + m + 1
 
-    if m == 0:
-        # No constraints: optimum exists iff no improving direction.
-        return _solve_unconstrained(problem, internal)
-
-    feasibility_only = not any(internal.obj)
-    n_obj_rows = 1 if feasibility_only else 2
-
-    rows_rat: list[list[Rat]] = []
-    for i in range(m):
-        row = list(a[i]) + [Fraction(0)] * m + [b[i]]
-        row[art0 + i] = Fraction(1)
-        rows_rat.append(row)
-    if not feasibility_only:
-        z2 = [Fraction(0)] * width
-        for j in range(internal.n_struct):
-            z2[j] = internal.obj[j]
-        rows_rat.append(z2)
-
-    tab = _Tableau(rows_rat, n_obj_rows=n_obj_rows - 1)
     # Phase-1 objective: minimise the artificial sum, reduced against the
-    # all-artificial basis; built row-wise in integers from the tableau.
+    # all-artificial basis, i.e. minus the sum of the rows, zero on the
+    # artificial columns.
     den_z = 1
-    for i in range(m):
-        d = tab.dens[i]
-        den_z = den_z * d // gcd(den_z, d)
-    z1_nums = [0] * width
-    for i in range(m):
-        scale = den_z // tab.dens[i]
-        row = tab.nums[i]
-        for j in range(width):
-            v = row[j]
+    for den in dens:
+        den_z = lcm(den_z, den)
+    z1 = [0] * (n_cols + 1)
+    for row, den in zip(rows, dens):
+        scale = den_z // den
+        for j, v in enumerate(row):
             if v:
-                z1_nums[j] -= v * scale
-    for i in range(m):
-        z1_nums[art0 + i] = 0  # artificial columns carry cost 1 - y_i... start reduced
-    tab._push_reduced(z1_nums, den_z)
-    if not feasibility_only:
-        # keep z2 as the last row
-        tab.nums[m], tab.nums[m + 1] = tab.nums[m + 1], tab.nums[m]
-        tab.dens[m], tab.dens[m + 1] = tab.dens[m + 1], tab.dens[m]
+                z1[j] -= v * scale
 
-    tab.basis = [art0 + i for i in range(m)]
-    z1_row, z2_row = m, m + 1
+    def widen(row):  # room for the artificial columns, before b
+        return row[:-1] + [0] * m + row[-1:]
+
+    nums = [widen(row) for row in rows]
+    for i, den in enumerate(dens):
+        nums[i][art0 + i] = den
+    z1, den_z = _lowest(widen(z1), den_z)
+    nums.append(z1)
+    dens.append(den_z)
+    feasibility_only = not any(z2)
+    if not feasibility_only:
+        nums.append(widen(z2))
+        dens.append(z2_den)
+    tab = _Tableau(nums, dens, [art0 + i for i in range(m)])
     cap = 2000 + 40 * width * (m + 2)
 
-    status = _bland(tab, z1_row, range(n_cols), cap)
-    if status != OPTIMAL:
+    if _bland(tab, m, range(n_cols), cap) != OPTIMAL:
         raise InternalError("phase 1 cannot be unbounded")
-    phase1_value = -tab.value(z1_row, width - 1)
-    if phase1_value > 0:
+    if tab.nums[m][-1] < 0:  # minus the phase-1 optimum
         # Phase-1 duality: y_i = 1 - reduced cost of artificial column i.
         # Validity (y.A <= 0, y.b > 0) holds by construction and is replayed
         # by verify_farkas in the certificate layer and the test suite.
-        y = tuple(Fraction(1) - tab.value(z1_row, art0 + i) for i in range(m))
+        y = tuple(Fraction(1) - tab.value(m, art0 + i) for i in range(m))
         return LpOutcome(status=INFEASIBLE, farkas=y)
 
     if not feasibility_only:
         # Drive leftover artificials out of the basis (they sit at value 0).
-        drop_rows = []
-        for i in range(tab.m):
+        # A row with no nonzero entry in a real column stays as it is: no
+        # ratio test can pick it and no pivot changes it.
+        for i in range(m):
             if tab.basis[i] < art0:
                 continue
-            enter = -1
-            for j in range(n_cols):
-                if tab.nums[i][j] != 0:
-                    enter = j
-                    break
-            if enter < 0:
-                drop_rows.append(i)
-            else:
+            enter = next((j for j in range(n_cols) if tab.nums[i][j]), -1)
+            if enter >= 0:
                 tab.pivot(i, enter)
                 tab.basis[i] = enter
-        for i in reversed(drop_rows):
-            del tab.nums[i]
-            del tab.dens[i]
-            del tab.basis[i]
-            tab.m -= 1
-            z1_row -= 1
-            z2_row -= 1
-
-        # Express the phase-2 objective in terms of the current basis.
-        for i in range(tab.m):
-            bcol = tab.basis[i]
-            fac = tab.value(z2_row, bcol)
-            if fac == 0:
-                continue
-            den_z = tab.dens[z2_row]
-            den_i = tab.dens[i]
-            new = [
-                zn * fac.denominator * den_i - fac.numerator * rn * den_z
-                for zn, rn in zip(tab.nums[z2_row], tab.nums[i])
-            ]
-            den = den_z * fac.denominator * den_i
-            g = den
-            for v in new:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                new = [v // g for v in new]
-                den //= g
-            tab.nums[z2_row] = new
-            tab.dens[z2_row] = den
-
-        status = _bland(tab, z2_row, range(n_cols), cap)
-        if status == UNBOUNDED:
+        # The phase-2 row needs no re-expression in this basis: it starts at
+        # zero on the artificial basis and rode along every pivot, and a
+        # pivot zeroes the entering column in every other row, so it is zero
+        # on every basic column already.
+        if _bland(tab, m + 1, range(n_cols), cap) == UNBOUNDED:
             return LpOutcome(status=UNBOUNDED)
 
-    x_int = [Fraction(0)] * n_cols
-    for i in range(tab.m):
+    x = [Fraction(0)] * n_cols
+    for i in range(m):
         if tab.basis[i] < n_cols:
-            x_int[tab.basis[i]] = tab.value(i, width - 1)
-    witness = []
-    for kind in internal.col_of_var:
-        if kind[0] == "shift":
-            witness.append(x_int[kind[1]] + kind[2])
-        else:
-            witness.append(x_int[kind[1]] - x_int[kind[2]])
-    witness_t = tuple(witness)
-    if feasibility_only:
-        optimum = Fraction(0)
-    else:
-        value_min = -tab.value(z2_row, width - 1) + internal.obj_const
-        optimum = -value_min if internal.sense_flip else value_min
-    return LpOutcome(status=OPTIMAL, optimum=optimum, witness=witness_t)
-
-
-def _solve_unconstrained(problem: LpProblem, internal: _Internal) -> LpOutcome:
-    # Only bounds.  Each variable optimises independently.
-    total = Fraction(0)
-    witness = []
-    for c, (lo, hi) in zip(problem.objective, problem.bounds):
-        want_high = (c > 0) == (problem.sense == "max")
-        if c == 0:
-            pick = lo if lo is not None else (hi if hi is not None else Fraction(0))
-        elif want_high:
-            if hi is None:
-                return LpOutcome(status=UNBOUNDED)
-            pick = hi
-        else:
-            if lo is None:
-                return LpOutcome(status=UNBOUNDED)
-            pick = lo
-        witness.append(pick)
-        total += c * pick
-    return LpOutcome(status=OPTIMAL, optimum=total, witness=tuple(witness))
+            x[tab.basis[i]] = tab.value(i, width - 1)
+    witness = tuple(
+        x[col] - x[col + 1] if lo is None else x[col] + lo for col, lo in cols
+    )
+    # The min-form row's right-hand side reads minus its current value.
+    optimum = Fraction(0) if feasibility_only else -tab.value(m + 1, width - 1)
+    if problem.sense == "max":
+        optimum = -optimum
+    return LpOutcome(status=OPTIMAL, optimum=optimum, witness=witness)
 
 
 def verify_witness(problem: LpProblem, witness: Sequence[Rat]) -> bool:
@@ -553,25 +427,22 @@ def verify_witness(problem: LpProblem, witness: Sequence[Rat]) -> bool:
     return True
 
 
-def _farkas_ok(a, b, y) -> bool:
-    m = len(a)
-    if len(y) != m:
-        return False
-    n = len(a[0]) if m else 0
-    for j in range(n):
-        if sum((y[i] * a[i][j] for i in range(m)), Fraction(0)) > 0:
-            return False
-    return sum((y[i] * b[i] for i in range(m)), Fraction(0)) > 0
-
-
 def verify_farkas(problem: LpProblem, farkas: Sequence[Rat]) -> bool:
     """Replay an infeasibility certificate.
 
     ``farkas`` multiplies the rows of the internal equality form (original
-    constraints first, then one row per finite upper bound); validity means
-    the combination proves ``0 > 0`` over nonnegative variables:
+    constraints first, then one row per finite upper bound, each negated
+    when needed so its right-hand side is nonnegative); validity means the
+    combination proves ``0 > 0`` over nonnegative variables:
     y.A <= 0 componentwise and y.b > 0.
     """
-    internal = _internalize(problem)
-    a, b = _standard_matrix(internal)
-    return _farkas_ok(a, b, tuple(farkas))
+    rows, dens, _, (z, _) = _standard_form(problem)
+    if len(farkas) != len(rows):
+        return False
+    total = [Fraction(0)] * len(z)
+    for y, row, den in zip(farkas, rows, dens):
+        w = Fraction(y) / den
+        for j, v in enumerate(row):
+            if v:
+                total[j] += w * v
+    return all(t <= 0 for t in total[:-1]) and total[-1] > 0

@@ -97,6 +97,20 @@ def test_zero_dimension():
     assert out.witness == ()
 
 
+@pytest.mark.parametrize(
+    "objective, sense, bounds, status, optimum, witness",
+    [
+        ([1], "min", [(F(-3, 2), None)], OPTIMAL, F(-3, 2), (F(-3, 2),)),
+        ([0, 1], "min", [(None, None), (0, None)], OPTIMAL, 0, (F(0), F(0))),
+        ([2], "min", [(None, None)], UNBOUNDED, None, None),
+        ([1], "max", [(F(-1), None)], UNBOUNDED, None, None),
+    ],
+)
+def test_bounds_only(objective, sense, bounds, status, optimum, witness):
+    out = solve(LpProblem.build(objective, sense, [], bounds))
+    assert (out.status, out.optimum, out.witness) == (status, optimum, witness)
+
+
 def test_rejects_floats():
     with pytest.raises(InputError):
         rat(0.5)
@@ -221,7 +235,7 @@ def test_against_bruteforce_vertices(rng):
         for _ in range(m):
             rel = rng.choice([LE, GE, EQ])
             cons.append(([rand_rat(rng) for _ in range(n)], rel, rand_rat(rng)))
-        bounds = [(F(0), F(3)) for _ in range(n)]
+        bounds = [(rng.choice([F(0), F(-1), F(-1, 2)]), F(3)) for _ in range(n)]
         prob = LpProblem.build(
             [rand_rat(rng) for _ in range(n)],
             rng.choice(["max", "min"]),
@@ -252,3 +266,64 @@ def test_infeasible_random_certificates(rng):
         out = solve(prob)
         assert out.status == INFEASIBLE
         assert verify_farkas(prob, out.farkas)
+
+
+def _random_general_problem(rng):
+    """n, m in 0..5; default, free, shifted, upper-only and boxed variables."""
+    n, m = rng.randint(0, 5), rng.randint(0, 5)
+    bounds = []
+    for _ in range(n):
+        kind = rng.randrange(5)
+        if kind == 0:
+            bounds.append((F(0), None))
+        elif kind == 1:
+            bounds.append((None, None))
+        elif kind == 2:
+            bounds.append((rand_rat(rng, lo=-4, hi=-1), None))
+        elif kind == 3:
+            bounds.append((None, rand_rat(rng)))
+        else:
+            lo = rand_rat(rng)
+            bounds.append((lo, lo + rand_rat(rng, lo=0, hi=4)))
+    cons = [
+        (
+            [rand_rat(rng) if rng.random() < 0.8 else F(0) for _ in range(n)],
+            rng.choice([LE, GE, EQ]),
+            rand_rat(rng),
+        )
+        for _ in range(m)
+    ]
+    return LpProblem.build(
+        [rand_rat(rng) for _ in range(n)], rng.choice(["max", "min"]), cons, bounds
+    )
+
+
+# sha256 of the outcomes' reprs in the battery below, recorded before the
+# integer standard-form rewrite of the solver; any change to a pivot path,
+# witness, optimum or Farkas vector shows up here.
+_BATTERY_DIGEST = (
+    "a7dfe6e233d47d5a9f56bc540f70e8ba43abd67b171722744b7ca8d455744739"
+)
+
+
+def test_random_battery_certificates_and_pinned_outcomes():
+    import hashlib
+    import random
+
+    rng = random.Random(5150)
+    reprs = []
+    statuses = set()
+    for _ in range(300):
+        prob = _random_general_problem(rng)
+        out = solve(prob)
+        statuses.add(out.status)
+        if out.status == OPTIMAL:
+            assert verify_witness(prob, out.witness)
+            got = sum((c * x for c, x in zip(prob.objective, out.witness)), F(0))
+            assert got == out.optimum
+        elif out.status == INFEASIBLE:
+            assert verify_farkas(prob, out.farkas)
+        reprs.append(repr(out))
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == _BATTERY_DIGEST
