@@ -18,11 +18,15 @@ linear prevision.  Certificates replay exactly.
 
 The central computation is ``sup { mu : B(f - mu) in D }`` for an
 arbitrary nonempty cell event B.  For an augmented set the member set is
-the union of two parts -- the open part (every credal vertex strictly
+the union of two parts -- the open part (lower expectation strictly
 positive after subtracting border multiples) and the closed part (a
 nonnegative residual after subtracting border multiples, which takes in
-the pure border rays) -- and each part has a down-closed mu-set whose
-supremum is an LP value, so the overall supremum is their maximum.
+the pure border rays) -- and each part has a down-closed mu-set, so the
+overall supremum is the larger of the two.  Every border ray has lower
+expectation zero, so subtracting border multiples never raises an
+expectation: the open part needs no LP.  Its membership test is the lower
+envelope, and its supremum is the generalized Bayes rule.  The closed part
+is one LP over the border rays.
 """
 
 from __future__ import annotations
@@ -165,6 +169,8 @@ def _residual_sup(
 ) -> Optional[Rat]:
     """sup { mu : B(f - mu) - sum(lambda r) >= 0, lambda >= 0 }, or None
     when unbounded.  Always feasible (lambda = 0, mu = min_B f)."""
+    if not rays:
+        return f.min_over(event)
     k = len(rays)
     flats = [r.flat() for r in rays]
     bflat = f.restricted_to(event).flat()
@@ -281,37 +287,28 @@ class DesirSet:
                 return None
             lambdas = out.witness
             return PositiveCombination(lambdas, (), _peel(f, lambdas, self.generators))
-        if self.kind == STRICT:
-            value = self.credal.lower(f)
-            return PositiveExpectation((), value) if value > 0 else None
         return self._augmented_certificate(f)
 
     def _augmented_certificate(self, f: Gamble) -> Optional[Certificate]:
-        """The open part, then the closed part of posi(strict + border rays)."""
+        """The open part, then the closed part of posi(strict + border rays).
+
+        A border ray b has lower expectation zero, so P(b) >= 0 for every P
+        in the credal set and P(f - sum mu_j b_j) <= P(f) for every mu >= 0.
+        Border multiples never help the open part: f is in it iff
+        lower(f) > 0, with mu = 0 as the witness.  A strict set is the case
+        with no border rays.
+        """
         borders = self.borders
-        nb = len(borders)
-        bflats = [b.flat() for b in borders]
-        fflat = f.flat()
-        vertices = self.credal.vertices
-        # (1) open part: some nonnegative border combination leaves every
-        # vertex expectation strictly positive.
-        cons = []
-        for v in vertices:
-            vb = [v(b) for b in borders]
-            vf = v(f)
-            cons.append((vb + [Fraction(1)], LE, vf))
-        cons.append(([Fraction(0)] * nb + [Fraction(1)], LE, Fraction(1)))
-        bounds = [(Fraction(0), None)] * nb + [(None, None)]
-        out = solve(
-            LpProblem.build([Fraction(0)] * nb + [Fraction(1)], "max", cons, bounds)
-        )
-        if out.status == OPTIMAL and out.optimum > 0:
-            mu = out.witness[:nb]
-            peeled = _peel(f, mu, borders)
-            return PositiveExpectation(tuple(mu), self.credal.lower(peeled))
-        # (2) closed part: f - sum(mu b) >= 0, witnessed with the largest
+        value = self.credal.lower(f)
+        if value > 0:
+            return PositiveExpectation((Fraction(0),) * len(borders), value)
+        if not borders:
+            return None
+        # closed part: f - sum(mu b) >= 0, witnessed with the largest
         # residual mass.  f is neither zero nor >= 0 here, so a zero
         # residual comes with mu != 0: f is then a pure border combination.
+        bflats = [b.flat() for b in borders]
+        fflat = f.flat()
         n = len(fflat)
         cons = [([bf[c] for bf in bflats], LE, fflat[c]) for c in range(n)]
         obj = [-sum(bf[c] for c in range(n)) for bf in bflats]
@@ -356,6 +353,9 @@ class DesirSet:
 
         The closed part's supremum is the residual LP over the generators
         (fg) or border rays; a credal kind also takes the open part's.
+        B(f - mu) is in the open part iff its lower expectation is positive
+        (see _augmented_certificate), so that supremum is the generalized
+        Bayes rule.
         """
         self._check_space(f)
         if event.space != self.space:
@@ -368,54 +368,11 @@ class DesirSet:
             raise InternalError("conditional prevision unbounded; set incoherent")
         if self.kind == FG:
             return closed
-        open_sup = self._open_conditional_sup(f, event)
+        open_sup = self.credal.generalized_bayes(f, event)
         return closed if open_sup is None else max(open_sup, closed)
 
     def conditional_upper_prevision(self, f: Gamble, event: EventSet) -> Rat:
         return -self.conditional_lower_prevision(-f, event)
-
-    def _open_conditional_sup(self, f: Gamble, event: EventSet) -> Optional[Rat]:
-        """Supremum of mu over the open part of a strict/augmented set, or
-        None when B(f - mu) minus border multiples never clears every
-        vertex strictly."""
-        borders = self.borders
-        nb = len(borders)
-        vertices = self.credal.vertices
-        indicator = event.indicator()
-        bf = f.restricted_to(event)
-        # Gate: can every vertex be made strictly positive at all?  If yes
-        # the supremum equals the closed LP optimum; if no the part is empty.
-        vb = [[v(b) for b in borders] for v in vertices]
-        vbf = [v(bf) for v in vertices]
-        vib = [v(indicator) for v in vertices]
-        gate_cons = []
-        for kv in range(len(vertices)):
-            row = [vib[kv]] + vb[kv] + [Fraction(1)]
-            gate_cons.append((row, LE, vbf[kv]))
-        gate_cons.append(
-            ([Fraction(0)] * (1 + nb) + [Fraction(1)], LE, Fraction(1))
-        )
-        gate_bounds = [(None, None)] + [(Fraction(0), None)] * nb + [(None, None)]
-        gate = solve(
-            LpProblem.build(
-                [Fraction(0)] * (1 + nb) + [Fraction(1)],
-                "max",
-                gate_cons,
-                gate_bounds,
-            )
-        )
-        if gate.status != OPTIMAL or gate.optimum <= 0:
-            return None
-        cons = []
-        for kv in range(len(vertices)):
-            cons.append(([vib[kv]] + vb[kv], LE, vbf[kv]))
-        bounds = [(None, None)] + [(Fraction(0), None)] * nb
-        out = solve(
-            LpProblem.build([Fraction(1)] + [Fraction(0)] * nb, "max", cons, bounds)
-        )
-        if out.status == UNBOUNDED:
-            raise InternalError("open-part supremum unbounded")
-        return out.optimum if out.status == OPTIMAL else None
 
     # -- structure queries ------------------------------------------------
 

@@ -268,30 +268,27 @@ class CredalSet:
     def lower_probability(self, event: EventSet) -> Rat:
         return min(v.of_event(event) for v in self.vertices)
 
-    def conditional_natural_extension(self, f: Gamble, event: EventSet) -> Rat:
-        """Vacuous below zero lower probability, else the Bayes lower bound.
+    def generalized_bayes(self, f: Gamble, event: EventSet) -> Optional[Rat]:
+        """min over P of P(Bf) / P(B), or None when some P gives B zero
+        probability.
 
-        The linear-fractional minimum of P(Bf)/P(B) over the polytope is
-        attained at a vertex, so scanning vertices is exact.
+        The linear-fractional minimum over the polytope is attained at a
+        vertex, so scanning vertices is exact.
         """
+        probs = [v.of_event(event) for v in self.vertices]
+        if 0 in probs:
+            return None
+        bf = f.restricted_to(event)
+        return min(v(bf) / pb for v, pb in zip(self.vertices, probs))
+
+    def conditional_natural_extension(self, f: Gamble, event: EventSet) -> Rat:
+        """Vacuous at zero lower probability, else the generalized Bayes rule."""
         if event.is_empty():
             raise InputError("conditioning event is empty")
         if not event.is_state_cylinder():
             raise InputError("conditional natural extension updates on states only")
-        if self.lower_probability(event) == 0:
-            return f.min_over(event)
-        bf = f.restricted_to(event)
-        best: Optional[Rat] = None
-        for v in self.vertices:
-            pb = v.of_event(event)
-            if pb == 0:
-                continue
-            val = v(bf) / pb
-            if best is None or val < best:
-                best = val
-        if best is None:
-            raise InternalError("positive lower probability but no mass on event")
-        return best
+        value = self.generalized_bayes(f, event)
+        return f.min_over(event) if value is None else value
 
     # -- marginals ----------------------------------------------------
 

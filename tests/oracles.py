@@ -3,7 +3,9 @@
 The product oracles enumerate vertex combinations directly, with no hull
 construction and no LP; the family oracle enumerates block subsets with
 one LP each; the vertex oracle solves every full n x n active-set system
-in Fractions.  Each is an independent route to the same exact answer.
+in Fractions; the augmented-set oracles solve the open part of
+posi(strict + border rays) as LPs with one row per credal vertex, border
+multiples free.  Each is an independent route to the same exact answer.
 """
 
 import itertools
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 from desir.credal import ENUMERATION_BUDGET
 from desir.errors import ResourceLimitError
-from desir.lp import EQ, GE, OPTIMAL, LpProblem, solve
+from desir.lp import EQ, GE, LE, OPTIMAL, UNBOUNDED, LpProblem, solve
 from desir.spaces import Gamble, omega_factor_space, prizes_factor_space
 
 
@@ -156,3 +158,67 @@ def _subset_feasible(family, f, used):
     obj[dcol] = Fraction(1)
     out = solve(LpProblem.build(obj, "max", cons, bounds))
     return out.status == OPTIMAL and out.optimum > 0
+
+
+def augmented_open_lp(dset, f):
+    """(t, mu) at the optimum of max t subject to v(f) - sum mu_j v(b_j) >= t
+    at every credal vertex v, mu >= 0 and t <= 1: f is in the open part of
+    posi(strict + border rays) iff t > 0, and mu is a witness."""
+    borders = dset.borders
+    nb = len(borders)
+    cons = [
+        ([v(b) for b in borders] + [Fraction(1)], LE, v(f))
+        for v in dset.credal.vertices
+    ]
+    cons.append(([Fraction(0)] * nb + [Fraction(1)], LE, Fraction(1)))
+    bounds = [(Fraction(0), None)] * nb + [(None, None)]
+    out = solve(LpProblem.build([Fraction(0)] * nb + [Fraction(1)], "max", cons, bounds))
+    assert out.status == OPTIMAL
+    return out.optimum, out.witness[:nb]
+
+
+def augmented_contains_lp(dset, f):
+    """Membership in posi(strict + border rays): f positive, or in the open
+    part by the vertex-row LP, or f - sum mu_j b_j >= 0 for some mu >= 0."""
+    if f.is_positive():
+        return True
+    if f.is_nonpositive():
+        return False
+    if augmented_open_lp(dset, f)[0] > 0:
+        return True
+    bflats = [b.flat() for b in dset.borders]
+    fflat = f.flat()
+    cons = [([bf[c] for bf in bflats], LE, fflat[c]) for c in range(len(fflat))]
+    out = solve(LpProblem.build([Fraction(0)] * len(bflats), "max", cons))
+    return out.status == OPTIMAL
+
+
+def augmented_open_conditional_sup(dset, f, event):
+    """sup { mu : B(f - mu) is in the open part }, or None when that part
+    is empty, by two vertex-row LPs.  The gate LP asks whether some mu and
+    border multiples lambda >= 0 leave every v(B(f - mu)) - sum lambda_j
+    v(b_j) strictly positive; the sup LP then maximises mu subject to the
+    same rows, nonstrict."""
+    borders = dset.borders
+    nb = len(borders)
+    bf = f.restricted_to(event)
+    indicator = event.indicator()
+    rows = [
+        ([v(indicator)] + [v(b) for b in borders], v(bf))
+        for v in dset.credal.vertices
+    ]
+    gate_cons = [(row + [Fraction(1)], LE, rhs) for row, rhs in rows]
+    gate_cons.append(([Fraction(0)] * (1 + nb) + [Fraction(1)], LE, Fraction(1)))
+    gate_bounds = [(None, None)] + [(Fraction(0), None)] * nb + [(None, None)]
+    gate = solve(
+        LpProblem.build(
+            [Fraction(0)] * (1 + nb) + [Fraction(1)], "max", gate_cons, gate_bounds
+        )
+    )
+    if gate.status != OPTIMAL or gate.optimum <= 0:
+        return None
+    cons = [(row, LE, rhs) for row, rhs in rows]
+    bounds = [(None, None)] + [(Fraction(0), None)] * nb
+    out = solve(LpProblem.build([Fraction(1)] + [Fraction(0)] * nb, "max", cons, bounds))
+    assert out.status != UNBOUNDED
+    return out.optimum if out.status == OPTIMAL else None

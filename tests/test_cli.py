@@ -127,6 +127,15 @@ def test_committed_previsions_byte_identical():
     assert {cmd.split()[0] for cmd, _ in wanted} == {"lowprev", "condlowprev"}
 
 
+def test_committed_augmented_answers_byte_identical():
+    # every answer of the augmented workload, plain member verdicts
+    # included, so a change to the cone layer's case split shows here and
+    # not only in the benchmark
+    doc_path = BENCH_DATA / "augmented-cond" / "augmented.doc.txt"
+    wanted = _replay_committed(doc_path, keep=lambda cmd: True)
+    assert {cmd.split()[0] for cmd, _ in wanted} == {"member", "lowprev", "condlowprev"}
+
+
 def _replay_committed(doc_path, keep):
     """Rerun the committed queries that ``keep`` selects and compare their
     answer blocks with the committed output; returns the blocks."""

@@ -2,12 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from desir import cones
 from desir.cones import (
+    AUGMENTED,
     ConditionalAssessment,
     ConditionalFamilySet,
     DesirSet,
     MembershipVerdict,
     PositiveCombination,
+    PositiveExpectation,
+    _residual_sup,
     avoids_partial_loss,
     build_from_conditional_family,
 )
@@ -16,7 +20,12 @@ from desir.errors import ModelError
 from desir.spaces import EventSet, Gamble, Space
 
 from conftest import rand_gamble, rand_mass_row, rand_space
-from oracles import family_contains_bruteforce
+from oracles import (
+    augmented_contains_lp,
+    augmented_open_conditional_sup,
+    augmented_open_lp,
+    family_contains_bruteforce,
+)
 
 COIN = Space(("h", "t"), ("x",))
 
@@ -507,13 +516,140 @@ def test_augmented_membership_vs_bruteforce(rng):
         checked += 1
         for _ in range(10):
             f = rand_gamble(rng, space, lo=-3, hi=3, max_den=2)
+            member = d.contains(f)
+            assert member == augmented_contains_lp(d, f)
+            # the grid may miss exact border multiples: one-sided
             if _augmented_bruteforce_contains(d, f):
-                assert d.contains(f)
-            elif not d.contains(f):
-                pass  # grid may miss exact border multiples; one-sided check
+                assert member
         # and the exact ray itself is always found by both
         ray = d.borders[0].scale(F(rng.randint(1, 5), rng.randint(1, 3)))
         assert d.contains(ray) and _augmented_bruteforce_contains(d, ray)
+
+
+def _rand_augmented(rng):
+    """A random augmented set on a space of at most 3 x 3 cells, over a
+    constraint-form or vertex-form credal set, with 1-3 border rays and
+    sometimes their sum as one more (dependent) ray; None on a draw the
+    factory rejects."""
+    space = rand_space(rng, worst=False)
+    if rng.random() < 0.5:
+        cons = [rand_gamble(rng, space) for _ in range(rng.randint(1, 2))]
+        try:
+            credal = CredalSet.from_constraints(space, cons)
+        except ModelError:
+            return None
+    else:
+        masses = [rand_mass_row(rng, space.n_cells) for _ in range(rng.randint(1, 3))]
+        credal = CredalSet.from_vertices(space, masses)
+    borders = []
+    for _ in range(rng.randint(1, 3)):
+        g = rand_gamble(rng, space, lo=-3, hi=3, max_den=2)
+        b = g - Gamble.constant(space, credal.lower(g))
+        if not (b.is_zero() or b.is_positive()):
+            borders.append(b)
+    if len(borders) > 1 and rng.random() < 0.5:
+        total = borders[0] + borders[1]
+        if credal.lower(total) == 0 and not total.is_positive():
+            borders.append(total)
+    try:
+        d = DesirSet.augmented(credal, borders)
+    except ModelError:
+        return None
+    return d if d.kind == AUGMENTED else None
+
+
+def _probe_gambles(rng, d):
+    """Random gambles, border combinations nudged either way, and gambles
+    with lower expectation exactly zero or just above it."""
+    space = d.space
+    out = [rand_gamble(rng, space, lo=-3, hi=3, max_den=2) for _ in range(2)]
+    combo = Gamble.zero(space)
+    for b in d.borders:
+        combo = combo + b.scale(F(rng.randint(0, 3), rng.randint(1, 2)))
+    nudge = rand_gamble(rng, space, lo=0, hi=1, max_den=3)
+    out += [combo, combo + nudge, combo - nudge]
+    g = rand_gamble(rng, space)
+    flat = g - Gamble.constant(space, d.credal.lower(g))
+    out += [flat, flat + Gamble.constant(space, F(1, 5))]
+    return [f for f in out if not f.is_zero()]
+
+
+def _rand_event(rng, space):
+    """A state event, the all-cells event, or a random cell event."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        states = rng.sample(space.omega, rng.randint(1, space.n_states))
+        return EventSet.from_states(space, states)
+    if kind == 1:
+        return EventSet.all_cells(space)
+    cells = space.cells()
+    return EventSet(space, tuple(sorted(rng.sample(cells, rng.randint(1, len(cells))))))
+
+
+def test_augmented_open_part_matches_vertex_row_lps(rng):
+    # The open part of an augmented set is decided without LPs: membership
+    # by the lower envelope, the conditional supremum by the generalized
+    # Bayes rule.  The vertex-row LPs with free border multiples agree.
+    sets = queries = zero_prob = positive_prob = open_members = 0
+    while sets < 100:
+        d = _rand_augmented(rng)
+        if d is None:
+            continue
+        sets += 1
+        for f in _probe_gambles(rng, d):
+            verdict = d.member(f)
+            assert verdict.member == augmented_contains_lp(d, f)
+            assert verdict.certificate.replays(d, f)
+            in_open = d.credal.lower(f) > 0
+            assert (augmented_open_lp(d, f)[0] > 0) == in_open
+            assert isinstance(verdict.certificate, PositiveExpectation) == (
+                in_open and not f.is_positive()
+            )
+            open_members += in_open
+            queries += 1
+        for f in _probe_gambles(rng, d)[:3]:
+            event = _rand_event(rng, d.space)
+            sups = [
+                augmented_open_conditional_sup(d, f, event),
+                _residual_sup(d.borders, f, event),
+            ]
+            expected = max(x for x in sups if x is not None)
+            assert d.conditional_lower_prevision(f, event) == expected
+            if d.credal.lower_probability(event) == 0:
+                zero_prob += 1
+            else:
+                positive_prob += 1
+    assert queries >= 500 and open_members and zero_prob and positive_prob
+
+
+def test_augmented_queries_lp_counts(monkeypatch):
+    # Only the closed part runs an LP: none for an open-part member, one
+    # for a closed-part member, a non-member or a conditional prevision.
+    credal = CredalSet.from_constraints(COIN, [g2(1, -1), g2(-1, 1)])
+    d = DesirSet.augmented(credal, [g2(-1, 1)])
+    strict = DesirSet.strict(credal)
+    vacuous = DesirSet.vacuous(COIN)
+    heads = EventSet.from_states(COIN, ["h"])
+    calls = []
+    real_solve = cones.solve
+
+    def counted(problem):
+        calls.append(problem)
+        return real_solve(problem)
+
+    monkeypatch.setattr(cones, "solve", counted)
+
+    def lps(query):
+        calls.clear()
+        answer = query()
+        return answer, len(calls)
+
+    assert lps(lambda: d.member(g2(2, -1)).member) == (True, 0)
+    assert lps(lambda: d.member(g2(-1, 1)).member) == (True, 1)
+    assert lps(lambda: d.member(g2(1, -1)).member) == (False, 1)
+    assert lps(lambda: d.conditional_lower_prevision(g2(-1, 1), heads)) == (-1, 1)
+    assert lps(lambda: strict.conditional_lower_prevision(g2(3, 1), heads)) == (3, 0)
+    assert lps(lambda: vacuous.lower_prevision(g2(3, 1))) == (1, 0)
 
 
 # -- conditional families -----------------------------------------------------
