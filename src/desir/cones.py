@@ -16,17 +16,20 @@ programs.  Positive membership verdicts carry a positive-combination or
 positive-expectation certificate; negative verdicts carry a separating
 linear prevision.  Certificates replay exactly.
 
-The central computation is ``sup { mu : B(f - mu) in D }`` for an
-arbitrary nonempty cell event B.  For an augmented set the member set is
-the union of two parts -- the open part (lower expectation strictly
-positive after subtracting border multiples) and the closed part (a
-nonnegative residual after subtracting border multiples, which takes in
-the pure border rays) -- and each part has a down-closed mu-set, so the
-overall supremum is the larger of the two.  Every border ray has lower
-expectation zero, so subtracting border multiples never raises an
-expectation: the open part needs no LP.  Its membership test is the lower
-envelope, and its supremum is the generalized Bayes rule.  The closed part
-is one LP over the border rays.
+Every set is a list of asserted rays -- the generators of an fg set, the
+border rays of an augmented set, none for a strict set -- plus, for the
+credal kinds, the open part {lower expectation of f > 0}.  Each question
+has one rule over that shape.  Membership: f positive, then the open part,
+then one zero-objective cone LP lambda >= 0, sum lambda_k r_k <= f over
+the rays.  Every border ray has lower expectation zero, so subtracting
+border multiples never raises an expectation: the open part needs no LP.
+
+The conditional computation is ``sup { mu : B(f - mu) in D }`` for an
+arbitrary nonempty cell event B.  The member set is the union of the open
+part and the closed part (a nonnegative residual after subtracting ray
+multiples), each with a down-closed mu-set, so the supremum is the larger
+of the two: the generalized Bayes rule for the open part and one residual
+LP over the rays for the closed part.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .credal import CredalSet, LinearPrevision
 from .errors import InputError, InternalError, ModelError
-from .lp import EQ, GE, LE, OPTIMAL, UNBOUNDED, LpProblem, Rat, rat, solve
+from .lp import EQ, GE, LE, OPTIMAL, LpProblem, Rat, rat, solve
 from .spaces import (
     EventSet,
     Gamble,
@@ -101,21 +104,16 @@ class PositiveExpectation:
 
 @dataclass(frozen=True)
 class SeparatingPrevision:
-    """P(f) <= 0 while P is nonnegative on everything the set asserts."""
+    """P(f) <= 0 while P is nonnegative on every asserted ray; for the
+    credal kinds P is a vertex of the credal set."""
 
     prevision: LinearPrevision
 
     def replays(self, dset: "DesirSet", f: Gamble) -> bool:
         p = self.prevision
-        if p(f) > 0:
+        if p(f) > 0 or any(p(r) < 0 for r in dset.rays):
             return False
-        if any(p(g) < 0 for g in dset.generators):
-            return False
-        if any(p(b) < 0 for b in dset.borders):
-            return False
-        if dset.credal is not None and not dset.credal.contains(p):
-            return False
-        return True
+        return dset.credal is None or p in dset.credal.vertices
 
 
 Certificate = Union[PositiveCombination, PositiveExpectation, SeparatingPrevision]
@@ -245,80 +243,62 @@ class DesirSet:
             return DesirSet(space, STRICT, credal=credal)
         return DesirSet(space, AUGMENTED, credal=credal, borders=bs)
 
+    @property
+    def rays(self) -> tuple[Gamble, ...]:
+        """The asserted rays: the generators of an fg set or the border
+        rays of an augmented set; a strict set has none."""
+        return self.generators + self.borders
+
     # -- membership -------------------------------------------------------
 
     def contains(self, f: Gamble) -> bool:
         """Boolean membership (no certificate replay)."""
         self._check_space(f)
-        return f.is_positive() or self._certificate(f) is not None
+        return self._certificate(f) is not None
 
     def member(self, f: Gamble) -> MembershipVerdict:
         """Membership with a replay-checked certificate."""
         self._check_space(f)
-        verdict = self._member_uncached(f)
-        if not verdict.certificate.replays(self, f):
+        cert = self._certificate(f)
+        member = cert is not None
+        if not member:
+            cert = SeparatingPrevision(self._separating(f))
+        if not cert.replays(self, f):
             raise InternalError("membership certificate failed to replay")
-        return verdict
-
-    def _member_uncached(self, f: Gamble) -> MembershipVerdict:
-        if f.is_positive():
-            cert = PositiveCombination(
-                tuple(Fraction(0) for _ in self.generators),
-                tuple(Fraction(0) for _ in self.borders),
-                f,
-            )
-        else:
-            cert = self._certificate(f)
-        if cert is None:
-            return MembershipVerdict(False, SeparatingPrevision(self._separating(f)))
-        return MembershipVerdict(True, cert)
+        return MembershipVerdict(member, cert)
 
     def _certificate(self, f: Gamble) -> Optional[Certificate]:
-        """Positive certificate for a gamble outside L+, or None if f is not
-        a member (the zero gamble and nonpositive gambles never are)."""
-        if f.is_nonpositive():
-            return None
-        if self.kind == FG:
-            if not self.generators:
-                return None
-            flats = [g.flat() for g in self.generators]
-            out = solve(LpProblem.cone(flats, LE, f.flat()))
-            if out.status != OPTIMAL:
-                return None
-            lambdas = out.witness
-            return PositiveCombination(lambdas, (), _peel(f, lambdas, self.generators))
-        return self._augmented_certificate(f)
+        """Positive certificate, or None if f is not a member (the zero
+        gamble and nonpositive gambles never are).
 
-    def _augmented_certificate(self, f: Gamble) -> Optional[Certificate]:
-        """The open part, then the closed part of posi(strict + border rays).
-
-        A border ray b has lower expectation zero, so P(b) >= 0 for every P
+        f positive, then the open part, then the cone LP over the rays.  A
+        border ray b has lower expectation zero, so P(b) >= 0 for every P
         in the credal set and P(f - sum mu_j b_j) <= P(f) for every mu >= 0.
         Border multiples never help the open part: f is in it iff
-        lower(f) > 0, with mu = 0 as the witness.  A strict set is the case
-        with no border rays.
+        lower(f) > 0, with mu = 0 as the witness.  Outside it, f is a member
+        iff f - sum lambda_k r_k >= 0 for some lambda >= 0; f is neither
+        zero nor >= 0 there, so a feasible lambda is nonzero.
         """
-        borders = self.borders
-        value = self.credal.lower(f)
-        if value > 0:
-            return PositiveExpectation((Fraction(0),) * len(borders), value)
-        if not borders:
+        if f.is_positive():
+            zero = Fraction(0)
+            return PositiveCombination(
+                (zero,) * len(self.generators), (zero,) * len(self.borders), f
+            )
+        if f.is_nonpositive():
             return None
-        # closed part: f - sum(mu b) >= 0, witnessed with the largest
-        # residual mass.  f is neither zero nor >= 0 here, so a zero
-        # residual comes with mu != 0: f is then a pure border combination.
-        bflats = [b.flat() for b in borders]
-        fflat = f.flat()
-        n = len(fflat)
-        cons = [([bf[c] for bf in bflats], LE, fflat[c]) for c in range(n)]
-        obj = [-sum(bf[c] for c in range(n)) for bf in bflats]
-        out = solve(LpProblem.build(obj, "max", cons))
-        if out.status == UNBOUNDED:
-            raise InternalError("border cone contains a negative direction")
+        if self.credal is not None:
+            value = self.credal.lower(f)
+            if value > 0:
+                return PositiveExpectation((Fraction(0),) * len(self.borders), value)
+        rays = self.rays
+        if not rays:
+            return None
+        out = solve(LpProblem.cone([r.flat() for r in rays], LE, f.flat()))
         if out.status != OPTIMAL:
             return None
-        mu = out.witness
-        return PositiveCombination((), tuple(mu), _peel(f, mu, borders))
+        k = len(self.generators)
+        weights = out.witness
+        return PositiveCombination(weights[:k], weights[k:], _peel(f, weights, rays))
 
     def _separating(self, f: Gamble) -> LinearPrevision:
         """A prevision with P(f) <= 0 that respects all assertions."""
@@ -351,22 +331,20 @@ class DesirSet:
     def conditional_lower_prevision(self, f: Gamble, event: EventSet) -> Rat:
         """sup { mu : B(f - mu) in D } for a nonempty cell event B.
 
-        The closed part's supremum is the residual LP over the generators
-        (fg) or border rays; a credal kind also takes the open part's.
-        B(f - mu) is in the open part iff its lower expectation is positive
-        (see _augmented_certificate), so that supremum is the generalized
-        Bayes rule.
+        The closed part's supremum is the residual LP over the rays; a
+        credal kind also takes the open part's.  B(f - mu) is in the open
+        part iff its lower expectation is positive (see _certificate), so
+        that supremum is the generalized Bayes rule.
         """
         self._check_space(f)
         if event.space != self.space:
             raise InputError("event on the wrong space")
         if event.is_empty():
             raise InputError("conditioning event is empty")
-        rays = self.generators if self.kind == FG else self.borders
-        closed = _residual_sup(rays, f, event)
+        closed = _residual_sup(self.rays, f, event)
         if closed is None:
             raise InternalError("conditional prevision unbounded; set incoherent")
-        if self.kind == FG:
+        if self.credal is None:
             return closed
         open_sup = self.credal.generalized_bayes(f, event)
         return closed if open_sup is None else max(open_sup, closed)
@@ -378,45 +356,31 @@ class DesirSet:
 
     def is_strictly_desirable(self) -> bool:
         """Openness: members outside L+ stay members after a small uniform
-        discount."""
-        if self.kind == STRICT:
-            return True
-        if self.kind == AUGMENTED:
-            return not self.borders
-        return all(
-            g.is_positive() or self.lower_prevision(g) > 0 for g in self.generators
-        )
+        discount.  Decided ray-wise; a border ray has lower prevision zero
+        and is never positive, so a credal kind passes iff it has none."""
+        return all(r.is_positive() or self.lower_prevision(r) > 0 for r in self.rays)
 
     def is_fully_archimedean(self) -> bool:
-        """Conditional strictness on supports, decided generator-wise.
+        """Conditional strictness on supports, decided ray-wise.
 
-        A strict set passes outright: each member f equals its own
-        support restriction, so discounting inside the support keeps the
-        lower expectation positive.  For the other kinds each generator
-        or border ray b must survive sup { eps : S(b)(b - eps) in D } > 0,
-        which is the conditional lower prevision on its support; the
-        natural extension then inherits the property cell-event by
-        cell-event.
+        Each generator or border ray b must survive
+        sup { eps : S(b)(b - eps) in D } > 0, which is the conditional
+        lower prevision on its support; the natural extension then
+        inherits the property cell-event by cell-event.  A strict set has
+        no rays and passes: each member f equals its own support
+        restriction, so discounting inside the support keeps the lower
+        expectation positive.
         """
-        if self.kind == STRICT:
-            return True
-        rays = self.generators if self.kind == FG else self.borders
         return all(
-            self.conditional_lower_prevision(b, b.support()) > 0 for b in rays
+            self.conditional_lower_prevision(r, r.support()) > 0 for r in self.rays
         )
 
     def has_open_superset(self) -> tuple[bool, Optional[LinearPrevision]]:
-        """Search for one prevision strictly positive on every asserted ray."""
-        if self.kind == STRICT:
-            k = len(self.credal.vertices)
-            avg = tuple(
-                sum((v.mass[c] for v in self.credal.vertices), Fraction(0)) / k
-                for c in range(self.space.n_cells)
-            )
-            return True, LinearPrevision(self.space, avg)
+        """Search for one prevision strictly positive on every asserted ray:
+        any prevision for fg, a point of the credal set for the credal
+        kinds."""
         if self.kind == FG:
             return open_superset_witness(self.space, self.generators)
-        # augmented: a hull point strictly positive on every border ray
         p = _positive_mix(self.space, self.credal.vertices, self.borders)
         return p is not None, p
 

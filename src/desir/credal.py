@@ -67,6 +67,8 @@ class LinearPrevision:
         return sum((v * p for v, p in zip(cells, self.mass) if p and v), Fraction(0))
 
     def of_event(self, event: EventSet) -> Rat:
+        if event.space != self.space:
+            raise InputError("event and prevision live on different spaces")
         m = self.space.n_prizes
         return sum((self.mass[i * m + j] for i, j in event.cells), Fraction(0))
 
@@ -183,9 +185,11 @@ class CredalSet:
     @staticmethod
     def from_vertices(space: Space, masses: Sequence) -> "CredalSet":
         pts = []
+        seen = set()
         for m in masses:
             p = m if isinstance(m, LinearPrevision) else LinearPrevision.of(space, m)
-            if p.mass not in {q.mass for q in pts}:
+            if p.mass not in seen:
+                seen.add(p.mass)
                 pts.append(p)
         pts.sort(key=lambda p: p.mass)
         # prune non-extreme points; removing one never changes the hull
@@ -283,6 +287,10 @@ class CredalSet:
 
     def conditional_natural_extension(self, f: Gamble, event: EventSet) -> Rat:
         """Vacuous at zero lower probability, else the generalized Bayes rule."""
+        if f.space != self.space:
+            raise InputError("gamble on the wrong space")
+        if event.space != self.space:
+            raise InputError("event on the wrong space")
         if event.is_empty():
             raise InputError("conditioning event is empty")
         if not event.is_state_cylinder():

@@ -202,12 +202,11 @@ class Interpolation:
     lower_top: Rat
 
 
-def interpolate_strict_superset(
-    base: DesirSet, top: DesirSet, pivot_index: int = 0
-) -> Interpolation:
+def interpolate_strict_superset(base: DesirSet, top: DesirSet) -> Interpolation:
     """Between a minimal worst-outcome extension and any strictly
     desirable superset there is always another one; halve the prevision
-    of one cone generator by mixing in a boundary prevision of the base.
+    of the first cone generator by mixing in a boundary prevision of the
+    base.
     """
     if base.kind != "fg" or not base.generators:
         raise ModelError("interpolation needs a finitely generated nonempty cone")
@@ -218,7 +217,7 @@ def interpolate_strict_superset(
     for g in base.generators:
         if not g.is_positive() and top.credal.lower(g) <= 0:
             raise ModelError("the superset does not strictly contain the base cone")
-    pivot = base.generators[pivot_index]
+    pivot = base.generators[0]
     top_value = top.credal.lower(pivot)
     p1 = min(top.credal.vertices, key=lambda v: (v(pivot), v.mass))
     base_credal = base.credal_projection()

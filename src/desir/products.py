@@ -97,7 +97,6 @@ def irrelevant_product_set(
         raise InputError("irrelevant products take finitely generated marginals")
     if joint is None:
         joint = joint_space(r_omega.space, r_x.space)
-    _check_factors(joint, None, None)
     if r_omega.space != omega_factor_space(joint) or r_x.space != prizes_factor_space(
         joint
     ):

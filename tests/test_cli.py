@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from desir.cli import main, run_command, run_script
 from desir.document import parse_document
+from desir.errors import DesirError, InternalError
 
 DATA = Path(__file__).parent / "data"
 BENCH_DATA = Path(__file__).parent.parent / "bench" / "data"
@@ -270,3 +272,72 @@ def test_product_and_statecheck_commands():
     assert one(
         sp_doc, "statecheck strong prod MO MX"
     ) == ["false"]  # prod's own marginals differ from MO/MX
+
+
+# Each command form: fixed leading tokens, how many declared names follow,
+# fixed trailing tokens.
+_FORMS = [
+    (("check",), 0, ()),
+    (("emit",), 0, ()),
+    (("member",), 2, ()),
+    (("member",), 2, ("certificate",)),
+    (("lowprev",), 2, ()),
+    (("upprev",), 2, ()),
+    (("condlowprev",), 3, ()),
+    (("condnatex",), 3, ()),
+    (("vertices",), 1, ()),
+    (("marginal",), 1, ("omega",)),
+    (("marginal",), 1, ("prizes",)),
+    (("condition",), 2, ()),
+    (("pref-holds",), 3, ()),
+    (("extend-worst",), 1, ()),
+    (("archimedean",), 1, ()),
+    (("product", "irrelevant"), 2, ()),
+    (("product", "independent"), 2, ()),
+    (("product", "strong"), 2, ()),
+    (("statecheck", "a4"), 1, ()),
+    (("statecheck", "a5"), 1, ()),
+    (("statecheck", "a5"), 3, ()),
+    (("statecheck", "strong"), 3, ()),
+    (("interpolate",), 2, ()),
+]
+
+
+def test_every_command_on_every_name_tuple_answers_or_rejects():
+    # Malformed input gives a DesirError (exit code 2 or 1), never a
+    # traceback: every command on every tuple of declared names, with
+    # objects on the joint space and on each factor.
+    doc = parse_document((DATA / "factors.txt").read_text())
+    names = [name for _, name in doc.order]
+    crashes = []
+    answered = 0
+    for head, arity, tail in _FORMS:
+        for picked in itertools.product(names, repeat=arity):
+            tokens = list(head + picked + tail)
+            try:
+                out = run_command(doc, tokens)
+            except InternalError as exc:
+                crashes.append((tokens, repr(exc)))
+            except DesirError:
+                continue
+            except Exception as exc:  # the defect under test
+                crashes.append((tokens, repr(exc)))
+            else:
+                assert all(isinstance(line, str) for line in out)
+                answered += 1
+    assert crashes == []
+    assert answered > 100
+
+
+def test_cross_space_condnatex_is_input_error(capsys):
+    doc_path = str(DATA / "factors.txt")
+    doc = parse_document((DATA / "factors.txt").read_text())
+    cases = [
+        (c, g, e)
+        for c, g, e in itertools.product(doc.credals, doc.gambles, doc.events)
+        if not doc.credals[c].space == doc.gambles[g].space == doc.events[e].space
+    ]
+    assert len(cases) == 30
+    for c, g, e in cases:
+        assert main(["condnatex", doc_path, c, g, e]) == 2, (c, g, e)
+        assert capsys.readouterr().err.startswith("input error:")

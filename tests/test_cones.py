@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from desir import cones
+from desir import credal as credal_module
 from desir.cones import (
     AUGMENTED,
     ConditionalAssessment,
@@ -590,66 +591,103 @@ def test_augmented_open_part_matches_vertex_row_lps(rng):
     # The open part of an augmented set is decided without LPs: membership
     # by the lower envelope, the conditional supremum by the generalized
     # Bayes rule.  The vertex-row LPs with free border multiples agree.
+    # Each draw also runs as the strict set over the same credal set: the
+    # case with no rays.
     sets = queries = zero_prob = positive_prob = open_members = 0
     while sets < 100:
         d = _rand_augmented(rng)
         if d is None:
             continue
         sets += 1
-        for f in _probe_gambles(rng, d):
-            verdict = d.member(f)
-            assert verdict.member == augmented_contains_lp(d, f)
-            assert verdict.certificate.replays(d, f)
-            in_open = d.credal.lower(f) > 0
-            assert (augmented_open_lp(d, f)[0] > 0) == in_open
-            assert isinstance(verdict.certificate, PositiveExpectation) == (
-                in_open and not f.is_positive()
-            )
-            open_members += in_open
-            queries += 1
-        for f in _probe_gambles(rng, d)[:3]:
-            event = _rand_event(rng, d.space)
-            sups = [
-                augmented_open_conditional_sup(d, f, event),
-                _residual_sup(d.borders, f, event),
-            ]
-            expected = max(x for x in sups if x is not None)
-            assert d.conditional_lower_prevision(f, event) == expected
-            if d.credal.lower_probability(event) == 0:
-                zero_prob += 1
-            else:
-                positive_prob += 1
-    assert queries >= 500 and open_members and zero_prob and positive_prob
+        probes = _probe_gambles(rng, d)
+        conditionals = [
+            (f, _rand_event(rng, d.space)) for f in _probe_gambles(rng, d)[:3]
+        ]
+        for dset in (d, DesirSet.strict(d.credal)):
+            ok, p = dset.has_open_superset()
+            assert ok == (p is not None)
+            if ok:
+                assert dset.credal.contains(p)
+                assert all(p(b) > 0 for b in dset.borders)
+            assert dset.is_strictly_desirable() == (not dset.borders)
+            if not dset.borders:
+                assert dset.is_fully_archimedean()
+            for f in probes:
+                verdict = dset.member(f)
+                assert verdict.member == augmented_contains_lp(dset, f)
+                assert verdict.certificate.replays(dset, f)
+                in_open = dset.credal.lower(f) > 0
+                assert (augmented_open_lp(dset, f)[0] > 0) == in_open
+                assert isinstance(verdict.certificate, PositiveExpectation) == (
+                    in_open and not f.is_positive()
+                )
+                open_members += in_open
+                queries += 1
+            for f, event in conditionals:
+                sups = [
+                    augmented_open_conditional_sup(dset, f, event),
+                    _residual_sup(dset.borders, f, event),
+                ]
+                expected = max(x for x in sups if x is not None)
+                assert dset.conditional_lower_prevision(f, event) == expected
+                if dset.credal.lower_probability(event) == 0:
+                    zero_prob += 1
+                else:
+                    positive_prob += 1
+    assert queries >= 1000 and open_members and zero_prob and positive_prob
 
 
 def test_augmented_queries_lp_counts(monkeypatch):
     # Only the closed part runs an LP: none for an open-part member, one
     # for a closed-part member, a non-member or a conditional prevision.
-    credal = CredalSet.from_constraints(COIN, [g2(1, -1), g2(-1, 1)])
-    d = DesirSet.augmented(credal, [g2(-1, 1)])
-    strict = DesirSet.strict(credal)
+    # Membership LPs are feasibility problems (all-zero objective) for fg
+    # sets and closed parts alike; the border ray (2, -1) does not sum to
+    # zero over the cells, so a residual-mass objective would show.
+    # Replaying a separating vertex solves no hull LP.
+    third = CredalSet.from_constraints(COIN, [g2(2, -1), g2(-2, 1)])
+    d = DesirSet.augmented(third, [g2(2, -1)])
+    hull = CredalSet.from_vertices(COIN, [(F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))])
+    d_hull = DesirSet.augmented(hull, [g2(2, -1)])
+    fg = DesirSet.from_generators(COIN, [g2(2, -1)])
+    strict = DesirSet.strict(third)
     vacuous = DesirSet.vacuous(COIN)
     heads = EventSet.from_states(COIN, ["h"])
     calls = []
+    credal_calls = []
     real_solve = cones.solve
 
     def counted(problem):
         calls.append(problem)
         return real_solve(problem)
 
+    def credal_counted(problem):
+        credal_calls.append(problem)
+        return real_solve(problem)
+
     monkeypatch.setattr(cones, "solve", counted)
+    monkeypatch.setattr(credal_module, "solve", credal_counted)
 
     def lps(query):
         calls.clear()
         answer = query()
         return answer, len(calls)
 
-    assert lps(lambda: d.member(g2(2, -1)).member) == (True, 0)
-    assert lps(lambda: d.member(g2(-1, 1)).member) == (True, 1)
-    assert lps(lambda: d.member(g2(1, -1)).member) == (False, 1)
-    assert lps(lambda: d.conditional_lower_prevision(g2(-1, 1), heads)) == (-1, 1)
+    def feasibility_only():
+        return all(x == 0 for problem in calls for x in problem.objective)
+
+    assert lps(lambda: d.member(g2(3, -1)).member) == (True, 0)
+    assert lps(lambda: d.member(g2(2, -1)).member) == (True, 1)
+    assert feasibility_only()
+    assert lps(lambda: d.member(g2(-2, 1)).member) == (False, 1)
+    assert feasibility_only()
+    assert lps(lambda: fg.member(g2(4, -2)).member) == (True, 1)
+    assert feasibility_only()
+    assert lps(lambda: d.conditional_lower_prevision(g2(-2, 1), heads)) == (-2, 1)
     assert lps(lambda: strict.conditional_lower_prevision(g2(3, 1), heads)) == (3, 0)
     assert lps(lambda: vacuous.lower_prevision(g2(3, 1))) == (1, 0)
+    credal_calls.clear()
+    assert lps(lambda: d_hull.member(g2(-2, 1)).member) == (False, 1)
+    assert feasibility_only() and credal_calls == []
 
 
 # -- conditional families -----------------------------------------------------
