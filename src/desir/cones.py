@@ -311,7 +311,7 @@ class DesirSet:
             if out.status != OPTIMAL:
                 raise InternalError("no separating prevision for a non-member")
             return LinearPrevision(self.space, out.witness)
-        best = min(self.credal.vertices, key=lambda v: (v(f), v.mass))
+        best = self.credal.minimizer(f)
         if best(f) > 0:
             raise InternalError("non-member with positive lower expectation")
         return best

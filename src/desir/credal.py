@@ -6,8 +6,12 @@ linear previsions, held in two coupled representations: an optional list
 of homogeneous constraints P(g_i) >= 0 over the probability simplex (the
 H-form) and the enumerated list of its vertices (the V-form).  Sets built
 from constraints enumerate their vertices eagerly; sets built from points
-(convex hulls, products, mixtures) keep only the V-form and answer
-membership through exact linear programs.
+(convex hulls, marginals, mixtures) keep only the V-form and answer
+membership through exact linear programs.  Building one from points
+prunes them to the extreme points output-sensitively (Clarkson): each
+point is tested against the extreme points found so far, and each failed
+test exposes a new one, so a hull LP has at most as many columns as the
+set has vertices, not one per point.  Strong products need no pruning.
 
 Vertex enumeration is the desk-scale active-set sweep: every vertex of
 {p >= 0, sum p = 1, G p >= 0} is the unique solution of n - 1 active rows
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -157,7 +162,12 @@ def _hull_contains(vertices: Sequence[tuple[Rat, ...]], point: tuple[Rat, ...]) 
 
 @dataclass(frozen=True)
 class CredalSet:
-    """A nonempty polytope of linear previsions on one space."""
+    """A nonempty polytope of linear previsions on one space.
+
+    Invariant: ``vertices`` are distinct, extreme and in lexicographic
+    order of their masses.  Both constructors guarantee it, and
+    ``products.strong_product`` relies on it.
+    """
 
     space: Space
     vertices: tuple[LinearPrevision, ...]
@@ -184,24 +194,64 @@ class CredalSet:
 
     @staticmethod
     def from_vertices(space: Space, masses: Sequence) -> "CredalSet":
+        """The convex hull of finitely many previsions, kept as its extreme
+        points in lexicographic order.
+
+        Clarkson's output-sensitive pruning.  The distinct points are
+        tested in order against E, the extreme points found so far, with
+        one hull LP.  A feasible LP proves the point non-extreme.  An
+        infeasible one yields a Farkas direction d with d.p > d.e for
+        every e in E; the lexicographically largest maximiser of d over
+        all points is then a new extreme point: the maximisers span a face
+        of the hull, the lexicographic maximum of finitely many points is
+        an extreme point of their hull, and an extreme point of a face is
+        one of the polytope.  It joins E and the point is tested again.
+        Every LP has at most h - 1 columns, h the number of vertices kept,
+        and there are fewer LPs than points.
+        """
         pts = []
         seen = set()
         for m in masses:
             p = m if isinstance(m, LinearPrevision) else LinearPrevision.of(space, m)
+            if p.space != space:
+                raise InputError("vertex on the wrong space")
             if p.mass not in seen:
                 seen.add(p.mass)
                 pts.append(p)
         pts.sort(key=lambda p: p.mass)
-        # prune non-extreme points; removing one never changes the hull
-        keep = list(pts)
-        i = 0
-        while i < len(keep):
-            others = [p.mass for k, p in enumerate(keep) if k != i]
-            if others and _hull_contains(others, keep[i].mass):
-                del keep[i]
-            else:
-                i += 1
-        return CredalSet(space, tuple(keep), None)
+        # integer rows: point k is rows[k] / scales[k]
+        scales = [math.lcm(*(x.denominator for x in p.mass)) for p in pts]
+        rows = [
+            [x.numerator * (s // x.denominator) for x in p.mass]
+            for p, s in zip(pts, scales)
+        ]
+        n = space.n_cells
+        kept: list[int] = []
+        is_kept = [False] * len(pts)
+        for i, p in enumerate(pts):
+            while not is_kept[i]:
+                if kept:
+                    hull = [pts[k].mass for k in kept]
+                    out = solve(LpProblem.cone(hull, EQ, p.mass, convex=True))
+                    if out.status == OPTIMAL:
+                        break
+                    # every row has a nonnegative right-hand side, so the
+                    # Farkas vector multiplies the rows as written
+                    y = out.farkas[:n]
+                    den = math.lcm(*(v.denominator for v in y))
+                    d = [v.numerator * (den // v.denominator) for v in y]
+                else:
+                    d = [0] * n  # nothing kept yet: the lexicographic maximum
+                best, best_num, best_den = -1, 0, 1
+                for k in reversed(range(len(pts))):
+                    num = sum(map(operator.mul, d, rows[k]))
+                    if best < 0 or num * best_den > best_num * scales[k]:
+                        best, best_num, best_den = k, num, scales[k]
+                if is_kept[best]:
+                    raise InternalError("hull pruning exposed a kept point again")
+                is_kept[best] = True
+                kept.append(best)
+        return CredalSet(space, tuple(pts[k] for k in sorted(kept)), None)
 
     @staticmethod
     def vacuous(space: Space) -> "CredalSet":
@@ -255,6 +305,10 @@ class CredalSet:
 
     def upper(self, f: Gamble) -> Rat:
         return max(v(f) for v in self.vertices)
+
+    def minimizer(self, f: Gamble) -> LinearPrevision:
+        """The vertex with the least P(f), ties to the smallest mass."""
+        return min(self.vertices, key=lambda v: (v(f), v.mass))
 
     def is_linear(self) -> bool:
         return len(self.vertices) == 1

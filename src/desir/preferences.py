@@ -219,14 +219,14 @@ def interpolate_strict_superset(base: DesirSet, top: DesirSet) -> Interpolation:
             raise ModelError("the superset does not strictly contain the base cone")
     pivot = base.generators[0]
     top_value = top.credal.lower(pivot)
-    p1 = min(top.credal.vertices, key=lambda v: (v(pivot), v.mass))
+    p1 = top.credal.minimizer(pivot)
     base_credal = base.credal_projection()
     base_value = base_credal.lower(pivot)
     if base_value != 0:
         raise ModelError(
             "interpolation starts from a boundary generator (lower prevision 0)"
         )
-    p0 = min(base_credal.vertices, key=lambda v: (v(pivot), v.mass))
+    p0 = base_credal.minimizer(pivot)
     mid_mass = tuple(
         Fraction(1, 2) * a + Fraction(1, 2) * b for a, b in zip(p1.mass, p0.mass)
     )

@@ -176,16 +176,27 @@ def strong_product(
 ) -> CredalSet:
     """Hull of the pairwise vertex products; bilinearity puts the lower
     envelope at vertex pairs, so this credal set evaluates the strong
-    product exactly."""
+    product exactly.
+
+    Every product is already a vertex, so nothing is pruned.  Suppose
+    P1 x P2 = sum_k l_k Q1_k x Q2_k, a convex combination of products of
+    factor vertices.  Marginalising on the states gives P1 = sum_k l_k Q1_k;
+    P1 is extreme, so Q1_k = P1 wherever l_k > 0.  Then
+    P1 x P2 = P1 x (sum_k l_k Q2_k), and marginalising on the prizes gives
+    P2 = sum_k l_k Q2_k, so Q2_k = P2 as well: no product is a mixture of
+    the others.  Distinct factor vertices give distinct products, since
+    the marginals recover the factors.
+    """
     if joint is None:
         joint = joint_space(m_omega.space, m_x.space)
     _check_factors(joint, m_omega, m_x)
-    masses = [
-        product_prevision(vo, vx, joint).mass
+    products = [
+        product_prevision(vo, vx, joint)
         for vo in m_omega.vertices
         for vx in m_x.vertices
     ]
-    return CredalSet.from_vertices(joint, masses)
+    products.sort(key=lambda p: p.mass)
+    return CredalSet(joint, tuple(products), None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,18 @@
 The product oracles enumerate vertex combinations directly, with no hull
 construction and no LP; the family oracle enumerates block subsets with
 one LP each; the vertex oracle solves every full n x n active-set system
-in Fractions; the augmented-set oracles solve the open part of
-posi(strict + border rays) as LPs with one row per credal vertex, border
-multiples free.  Each is an independent route to the same exact answer.
+in Fractions; the extreme-point oracle drops, one at a time, every point
+in the hull of all the others, with one LP over all of them each; the
+augmented-set oracles solve the open part of posi(strict + border rays)
+as LPs with one row per credal vertex, border multiples free.  Each is an
+independent route to the same exact answer.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from desir.credal import ENUMERATION_BUDGET
+from desir.credal import ENUMERATION_BUDGET, LinearPrevision
 from desir.errors import ResourceLimitError
 from desir.lp import EQ, GE, LE, OPTIMAL, UNBOUNDED, LpProblem, solve
 from desir.spaces import Gamble, omega_factor_space, prizes_factor_space
@@ -58,6 +60,36 @@ def enumerate_vertices_bruteforce(space, constraints):
             continue
         seen.add(tuple(sol))
     return tuple(sorted(seen))
+
+
+def _hull_contains(vertices, point):
+    if not vertices:
+        return False
+    out = solve(LpProblem.cone(vertices, EQ, point, convex=True))
+    return out.status == OPTIMAL
+
+
+def extreme_points_bruteforce(space, masses):
+    """The extreme points of the hull of ``masses``, sorted: the distinct
+    points in order, each dropped when it lies in the hull of all the
+    points still kept besides it (removing one never changes the hull)."""
+    pts = []
+    seen = set()
+    for m in masses:
+        p = m if isinstance(m, LinearPrevision) else LinearPrevision.of(space, m)
+        if p.mass not in seen:
+            seen.add(p.mass)
+            pts.append(p)
+    pts.sort(key=lambda p: p.mass)
+    keep = list(pts)
+    i = 0
+    while i < len(keep):
+        others = [p.mass for k, p in enumerate(keep) if k != i]
+        if others and _hull_contains(others, keep[i].mass):
+            del keep[i]
+        else:
+            i += 1
+    return tuple(p.mass for p in keep)
 
 
 def _prize_row(f, state):

@@ -138,6 +138,21 @@ def test_committed_augmented_answers_byte_identical():
     assert {cmd.split()[0] for cmd, _ in wanted} == {"member", "lowprev", "condlowprev"}
 
 
+@pytest.mark.parametrize("rung", ["rung1-2x3-3", "rung2-3x3-3", "rung3-2x4-4"])
+def test_committed_vertex_ladder_answers_byte_identical(rung):
+    # vertex lists, envelopes, marginals, strong products and A5 verdicts,
+    # so a change to hull pruning shows here and not only in the benchmark.
+    # `statecheck a4` lines are left out: the committed ones carry the
+    # probe-based `holds-on-probes` verdict, which is wrong on rung 1's joint
+    # (ROADMAP item 6) and is due to be re-recorded.
+    doc_path = BENCH_DATA / "vertex-ladder" / f"{rung}.doc.txt"
+    wanted = _replay_committed(
+        doc_path, lambda cmd: not cmd.startswith("statecheck a4")
+    )
+    kinds = {cmd.split()[0] for cmd, _ in wanted}
+    assert {"vertices", "marginal", "product", "statecheck"} <= kinds
+
+
 def _replay_committed(doc_path, keep):
     """Rerun the committed queries that ``keep`` selects and compare their
     answer blocks with the committed output; returns the blocks."""

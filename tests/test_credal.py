@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
+import desir.credal
 from desir.credal import (
     CredalSet,
     LinearPrevision,
@@ -9,10 +11,11 @@ from desir.credal import (
     omega_factor_space,
 )
 from desir.errors import InputError, ModelError, ResourceLimitError
+from desir.products import strong_product
 from desir.spaces import EventSet, Gamble, Space
 
-from conftest import rand_gamble, rand_space
-from oracles import enumerate_vertices_bruteforce
+from conftest import rand_gamble, rand_mass_row, rand_space
+from oracles import enumerate_vertices_bruteforce, extreme_points_bruteforce
 
 COIN = Space(("h", "t"), ("x",))
 TRI = Space(("a", "b", "c"), ("x",))
@@ -105,6 +108,124 @@ def test_from_vertices_prunes_interior_points():
         COIN, [(F(1), F(0)), (F(0), F(1)), (F(1, 2), F(1, 2))]
     )
     assert [v.mass for v in cs.vertices] == [(F(0), F(1)), (F(1), F(0))]
+
+
+def _mix(rng, points):
+    weights = [rng.randint(1, 4) for _ in points]
+    total = sum(weights)
+    return tuple(
+        sum((F(w, total) * p[j] for w, p in zip(weights, points)), F(0))
+        for j in range(len(points[0]))
+    )
+
+
+def _cloud(rng, n, shape):
+    """Points on the n-cell simplex.  ``simplex``: unit masses plus points
+    on their edges, on their faces and inside; ``flat``: two or three
+    random points and their mixtures, a cloud of lower dimension;
+    ``all-extreme``: uniform masses on k-cell supports, vertices of a
+    hypersimplex; ``mixed``: random points and mixtures of them."""
+    if shape == "all-extreme":
+        k = rng.randint(1, n - 1)
+        supports = list(itertools.combinations(range(n), k))
+        chosen = rng.sample(supports, rng.randint(1, min(len(supports), 8)))
+        return [tuple(F(int(j in s), k) for j in range(n)) for s in chosen]
+    if shape == "simplex":
+        cells = rng.sample(range(n), rng.randint(2, n))
+        base = [tuple(F(int(i == j)) for j in range(n)) for i in cells]
+    else:
+        size = rng.randint(2, 3) if shape == "flat" else rng.randint(1, 6)
+        base = [rand_mass_row(rng, n) for _ in range(size)]
+    cloud = list(base)
+    for _ in range(rng.randint(1, 6)):
+        k = rng.randint(2, 3) if rng.random() < 0.6 else len(base)
+        cloud.append(_mix(rng, rng.sample(base, min(k, len(base)))))
+    return cloud
+
+
+def test_from_vertices_matches_leave_one_out_oracle(rng):
+    shapes = ("mixed", "simplex", "flat", "all-extreme")
+    counts = dict.fromkeys(("duplicates", "pruned", "all kept", "single"), 0)
+    for t in range(240):
+        n = rng.randint(2, 6)
+        space = Space(tuple(f"w{i}" for i in range(n)), ("x",))
+        cloud = _cloud(rng, n, shapes[t % len(shapes)])
+        for _ in range(rng.randint(0, 2)):
+            cloud.append(rng.choice(cloud))
+        rng.shuffle(cloud)
+        points = [
+            LinearPrevision.of(space, m) if rng.random() < 0.3 else m for m in cloud
+        ]
+        expected = extreme_points_bruteforce(space, points)
+        got = CredalSet.from_vertices(space, points)
+        assert tuple(v.mass for v in got.vertices) == expected
+        distinct = len(set(cloud))
+        counts["duplicates"] += distinct < len(cloud)
+        counts["pruned"] += len(expected) < distinct
+        counts["all kept"] += len(expected) == distinct > 1
+        counts["single"] += len(expected) == 1
+    assert min(counts.values()) >= 10, counts
+
+
+def _rung2_joint():
+    # the 3x3 set of the vertex-ladder's second rung: 73 vertices whose
+    # state and prize projections take 60 and 56 distinct points
+    space = Space(("s1", "s2", "s3"), ("x1", "x2", "x3"))
+    rows = [
+        [2, -1, 2, -3, -3, 2, 1, 2, 2],
+        [0, 2, 2, 0, -1, 3, -3, 0, -1],
+        [-2, 3, -1, 0, 1, 0, 3, 1, 0],
+    ]
+    cons = [g(space, [r[0:3], r[3:6], r[6:9]]) for r in rows]
+    return CredalSet.from_constraints(space, cons)
+
+
+def test_hull_pruning_lp_count_and_width(monkeypatch):
+    # each marginal prunes >= 30 distinct projected points to <= 4 vertices;
+    # a hull LP has at most one column per kept vertex, and there are at
+    # most (distinct points + kept vertices) of them
+    joint = _rung2_joint()
+    masses = [v.mass for v in joint.vertices]
+    by_state = {(sum(m[0:3]), sum(m[3:6]), sum(m[6:9])) for m in masses}
+    by_prize = {(sum(m[0::3]), sum(m[1::3]), sum(m[2::3])) for m in masses}
+    widths = []
+    real_solve = desir.credal.solve
+
+    def counting_solve(problem):
+        widths.append(len(problem.objective))
+        return real_solve(problem)
+
+    monkeypatch.setattr(desir.credal, "solve", counting_solve)
+    marginals = []
+    for build, distinct in (
+        (joint.marginal_omega, len(by_state)),
+        (joint.marginal_prizes, len(by_prize)),
+    ):
+        widths.clear()
+        marginal = build()
+        kept = len(marginal.vertices)
+        assert distinct >= 30 and kept <= 4
+        assert widths and max(widths) <= kept
+        assert len(widths) <= distinct + kept
+        marginals.append(marginal)
+    widths.clear()
+    sp = strong_product(*marginals, joint.space)
+    assert widths == []
+    assert len(sp.vertices) == len(marginals[0].vertices) * len(marginals[1].vertices)
+
+
+def test_from_vertices_rejects_a_vertex_on_another_space():
+    foreign = LinearPrevision.of(TRI, (1, 0, 0))
+    for masses in ([(F(1, 2), F(1, 2)), foreign], [foreign, (F(1, 2), F(1, 2))]):
+        with pytest.raises(InputError, match="vertex on the wrong space"):
+            CredalSet.from_vertices(COIN, masses)
+
+
+def test_minimizer_breaks_ties_to_the_smallest_mass():
+    cs = CredalSet.from_constraints(TRI, ())
+    f = g(TRI, [[1], [0], [0]])
+    assert cs.minimizer(f).mass == (F(0), F(0), F(1))
+    assert cs.minimizer(-f).mass == (F(1), F(0), F(0))
 
 
 def test_contains_h_and_v_form():

@@ -15,6 +15,7 @@ from desir.products import (
     is_strong_product,
     marginal_extension_prevision,
     prevision_factorizes,
+    product_prevision,
     satisfies_a4,
     satisfies_a5,
     strong_product,
@@ -26,7 +27,7 @@ from desir.spaces import (
     prizes_factor_space,
 )
 
-from conftest import rand_gamble, rand_mass_row
+from conftest import rand_gamble, rand_mass_row, rand_space
 from oracles import m1_lower_bruteforce, strong_product_lower
 
 SQ = Space(("w0", "w1"), ("x0", "x1"))
@@ -223,6 +224,30 @@ def test_strong_product_two_code_paths_agree(rng):
         for _ in range(4):
             f = rand_gamble(rng, SQ)
             assert sp.lower(f) == strong_product_lower(m_omega, m_x, f)
+
+
+def test_strong_product_needs_no_pruning(rng):
+    # every product of factor vertices is extreme, so building the product
+    # without pruning gives the pruned hull of the products
+    nontrivial = 0
+    for _ in range(60):
+        joint = rand_space(rng, worst=False)
+        of, pf = omega_factor_space(joint), prizes_factor_space(joint)
+        m_omega = CredalSet.from_vertices(
+            of, [rand_mass_row(rng, of.n_cells) for _ in range(rng.randint(1, 4))]
+        )
+        m_x = CredalSet.from_vertices(
+            pf, [rand_mass_row(rng, pf.n_cells) for _ in range(rng.randint(1, 4))]
+        )
+        products = [
+            product_prevision(vo, vx, joint)
+            for vo in m_omega.vertices
+            for vx in m_x.vertices
+        ]
+        sp = strong_product(m_omega, m_x, joint)
+        assert sp.vertices == CredalSet.from_vertices(joint, products).vertices
+        nontrivial += len(sp.vertices) > 2
+    assert nontrivial >= 20
 
 
 def test_strong_product_marginals_preserved(rng):
