@@ -550,17 +550,6 @@ class ConditionalAssessment:
             event, tuple(tuple(rat(x) for x in v) for v in vertices)
         )
 
-    def lower(self, f: Gamble) -> Rat:
-        vals = []
-        for v in self.vertices:
-            vals.append(
-                sum(
-                    (x * f.values[i][j] for x, (i, j) in zip(v, self.event.cells)),
-                    Fraction(0),
-                )
-            )
-        return min(vals)
-
 
 @dataclass(frozen=True)
 class ConditionalFamilySet:

@@ -13,6 +13,16 @@ point is tested against the extreme points found so far, and each failed
 test exposes a new one, so a hull LP has at most as many columns as the
 set has vertices, not one per point.  Strong products need no pruning.
 
+Every envelope query is a vertex scan: a lower prevision, the generalized
+Bayes rule and the membership tests of the strict and augmented cones all
+attain their extremes at a vertex.  A credal set therefore holds its
+vertices once more as one integer matrix, every mass a numerator over one
+common denominator (the lcm of all vertex denominators).  A query turns
+its gamble into integer numerators over the gamble's own lcm, takes one
+integer dot product per vertex, compares by integer (cross-)multiplication
+and builds a single Fraction at the end, so every answer is the exact
+rational the Fraction scan gives, at machine-integer cost per vertex.
+
 Vertex enumeration is the desk-scale active-set sweep: every vertex of
 {p >= 0, sum p = 1, G p >= 0} is the unique solution of n - 1 active rows
 plus sum p = 1.  A choice of c constraint rows leaves c + 1 free cells
@@ -28,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -63,7 +73,8 @@ class LinearPrevision:
 
     @staticmethod
     def of(space: Space, values: Iterable) -> "LinearPrevision":
-        return LinearPrevision(space, tuple(rat(v) for v in values))
+        # from a list: see LpProblem.build on tuples grown from generators
+        return LinearPrevision(space, tuple([rat(v) for v in values]))
 
     def __call__(self, f: Gamble) -> Rat:
         if f.space != self.space:
@@ -71,11 +82,11 @@ class LinearPrevision:
         cells = itertools.chain.from_iterable(f.values)
         return sum((v * p for v, p in zip(cells, self.mass) if p and v), Fraction(0))
 
-    def of_event(self, event: EventSet) -> Rat:
-        if event.space != self.space:
-            raise InputError("event and prevision live on different spaces")
-        m = self.space.n_prizes
-        return sum((self.mass[i * m + j] for i, j in event.cells), Fraction(0))
+
+def _integer_row(values: Sequence[Rat]) -> tuple[list[int], int]:
+    """(nums, d) with values[k] == nums[k] / d, d the lcm of the denominators."""
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def _bareiss_solve(m: list[list[int]]) -> Optional[tuple[list[int], int]]:
@@ -121,11 +132,7 @@ def enumerate_vertices(
             f"tries {candidates} active sets, over the budget of {ENUMERATION_BUDGET}"
         )
     # positive integer rescaling keeps every sign and every zero set
-    rows = []
-    for g in constraints:
-        flat = g.flat()
-        scale = math.lcm(*(v.denominator for v in flat))
-        rows.append([int(v * scale) for v in flat])
+    rows = [_integer_row(g.flat())[0] for g in constraints]
     # c constraint rows and n - 1 - c unit rows p_j = 0 leave the c rows and
     # sum p = 1 over c + 1 free cells; the determinant is +- the full one's
     seen = set()
@@ -149,7 +156,7 @@ def enumerate_vertices(
     for support in seen:
         y = dict(support)
         total = sum(y.values())
-        points.append(tuple(Fraction(y.get(j, 0), total) for j in range(n)))
+        points.append(tuple([Fraction(y.get(j, 0), total) for j in range(n)]))
     return tuple(LinearPrevision(space, m) for m in sorted(points))
 
 
@@ -166,12 +173,17 @@ class CredalSet:
 
     Invariant: ``vertices`` are distinct, extreme and in lexicographic
     order of their masses.  Both constructors guarantee it, and
-    ``products.strong_product`` relies on it.
+    ``products.strong_product`` and ``minimizer`` rely on it.
+
+    ``_rows[k][c] / _den`` is vertex k's mass on cell c, ``_den`` the lcm
+    of every vertex denominator: the integer matrix every scan runs on.
     """
 
     space: Space
     vertices: tuple[LinearPrevision, ...]
     constraints: Optional[tuple[Gamble, ...]] = None
+    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vertices:
@@ -179,6 +191,15 @@ class CredalSet:
         for v in self.vertices:
             if v.space != self.space:
                 raise InputError("vertex on the wrong space")
+        den = math.lcm(*[x.denominator for v in self.vertices for x in v.mass])
+        rows = tuple(
+            [
+                tuple([x.numerator * (den // x.denominator) for x in v.mass])
+                for v in self.vertices
+            ]
+        )
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_rows", rows)
 
     # -- constructors -------------------------------------------------
 
@@ -219,12 +240,8 @@ class CredalSet:
                 seen.add(p.mass)
                 pts.append(p)
         pts.sort(key=lambda p: p.mass)
-        # integer rows: point k is rows[k] / scales[k]
-        scales = [math.lcm(*(x.denominator for x in p.mass)) for p in pts]
-        rows = [
-            [x.numerator * (s // x.denominator) for x in p.mass]
-            for p, s in zip(pts, scales)
-        ]
+        # integer rows: point k is rows[k][0] / rows[k][1]
+        rows = [_integer_row(p.mass) for p in pts]
         n = space.n_cells
         kept: list[int] = []
         is_kept = [False] * len(pts)
@@ -237,16 +254,15 @@ class CredalSet:
                         break
                     # every row has a nonnegative right-hand side, so the
                     # Farkas vector multiplies the rows as written
-                    y = out.farkas[:n]
-                    den = math.lcm(*(v.denominator for v in y))
-                    d = [v.numerator * (den // v.denominator) for v in y]
+                    d = _integer_row(out.farkas[:n])[0]
                 else:
                     d = [0] * n  # nothing kept yet: the lexicographic maximum
                 best, best_num, best_den = -1, 0, 1
                 for k in reversed(range(len(pts))):
-                    num = sum(map(operator.mul, d, rows[k]))
-                    if best < 0 or num * best_den > best_num * scales[k]:
-                        best, best_num, best_den = k, num, scales[k]
+                    row, scale = rows[k]
+                    num = sum(map(operator.mul, d, row))
+                    if best < 0 or num * best_den > best_num * scale:
+                        best, best_num, best_den = k, num, scale
                 if is_kept[best]:
                     raise InternalError("hull pruning exposed a kept point again")
                 is_kept[best] = True
@@ -270,23 +286,27 @@ class CredalSet:
         independent active rows, and the sweep tries every such choice."""
         assert self.constraints is not None
         n = self.space.n_cells
-        directions = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
-        directions.extend(g.flat() for g in self.constraints)
-        supports = [[(j, x) for j, x in enumerate(v.mass) if x] for v in self.vertices]
-        values = [
-            [sum((d[j] * x for j, x in s), Fraction(0)) for s in supports]
-            for d in directions
+        rows, den = self._rows, self._den
+        # (direction, vertex values as integer numerators, their denominator)
+        directions = [
+            ([Fraction(int(i == j)) for i in range(n)], [r[j] for r in rows], den)
+            for j in range(n)
         ]
-        if any(min(vals) < 0 for vals in values[n:]):
-            raise InternalError("enumerated vertex violates a constraint")
+        for g in self.constraints:
+            flat = g.flat()
+            nums, d = _integer_row(flat)
+            vals = [sum(map(operator.mul, r, nums)) for r in rows]
+            if min(vals) < 0:
+                raise InternalError("enumerated vertex violates a constraint")
+            directions.append((list(flat), vals, den * d))
         cons = [(list(g.flat()), GE, Fraction(0)) for g in self.constraints]
         cons.append(([Fraction(1)] * n, EQ, Fraction(1)))
-        for d, vals in zip(directions, values):
+        for d, vals, scale in directions:
             for sense, ext in (("max", max(vals)), ("min", min(vals))):
-                out = solve(LpProblem.build(list(d), sense, cons))
+                out = solve(LpProblem.build(d, sense, cons))
                 if out.status != OPTIMAL:
                     raise InternalError("H-polytope optimisation failed")
-                if ext != out.optimum:
+                if Fraction(ext, scale) != out.optimum:
                     raise InternalError(
                         "H-form and V-form disagree on a support direction"
                     )
@@ -300,15 +320,34 @@ class CredalSet:
             return all(p(g) >= 0 for g in self.constraints)
         return _hull_contains([v.mass for v in self.vertices], p.mass)
 
+    def _values(self, f: Gamble) -> tuple[list[int], int]:
+        """Every vertex's P(f) as an integer numerator, and their common
+        denominator: one integer dot product per vertex."""
+        if f.space != self.space:
+            raise InputError("gamble and prevision live on different spaces")
+        nums, d = _integer_row(f.flat())
+        mul = operator.mul
+        return [sum(map(mul, row, nums)) for row in self._rows], self._den * d
+
+    def _event_columns(self, event: EventSet) -> list[int]:
+        if event.space != self.space:
+            raise InputError("event and prevision live on different spaces")
+        m = self.space.n_prizes
+        return [i * m + j for i, j in event.cells]
+
     def lower(self, f: Gamble) -> Rat:
-        return min(v(f) for v in self.vertices)
+        vals, den = self._values(f)
+        return Fraction(min(vals), den)
 
     def upper(self, f: Gamble) -> Rat:
-        return max(v(f) for v in self.vertices)
+        vals, den = self._values(f)
+        return Fraction(max(vals), den)
 
     def minimizer(self, f: Gamble) -> LinearPrevision:
-        """The vertex with the least P(f), ties to the smallest mass."""
-        return min(self.vertices, key=lambda v: (v(f), v.mass))
+        """The vertex with the least P(f), ties to the smallest mass (the
+        first such vertex, since the vertices are in lexicographic order)."""
+        vals, _ = self._values(f)
+        return self.vertices[vals.index(min(vals))]
 
     def is_linear(self) -> bool:
         return len(self.vertices) == 1
@@ -324,20 +363,35 @@ class CredalSet:
         raise InputError(f"unknown completeness scope {scope!r}")
 
     def lower_probability(self, event: EventSet) -> Rat:
-        return min(v.of_event(event) for v in self.vertices)
+        cols = self._event_columns(event)
+        least = min(sum([row[c] for c in cols]) for row in self._rows)
+        return Fraction(least, self._den)
 
     def generalized_bayes(self, f: Gamble, event: EventSet) -> Optional[Rat]:
         """min over P of P(Bf) / P(B), or None when some P gives B zero
         probability.
 
         The linear-fractional minimum over the polytope is attained at a
-        vertex, so scanning vertices is exact.
+        vertex, so scanning vertices is exact.  With vertex v's P(B) as
+        prob_v / den and P(Bf) as num_v / (den d), the ratio is
+        num_v / (prob_v d): the scan compares num_v / prob_v by
+        cross-multiplication, every prob_v being positive.
         """
-        probs = [v.of_event(event) for v in self.vertices]
+        cols = self._event_columns(event)
+        if f.space != self.space:
+            raise InputError("gamble and prevision live on different spaces")
+        picked = [[row[c] for c in cols] for row in self._rows]
+        probs = [sum(p) for p in picked]
         if 0 in probs:
             return None
-        bf = f.restricted_to(event)
-        return min(v(bf) / pb for v, pb in zip(self.vertices, probs))
+        nums, d = _integer_row([f.values[i][j] for i, j in event.cells])
+        mul = operator.mul
+        best_num, best_prob = None, 1
+        for p, prob in zip(picked, probs):
+            num = sum(map(mul, p, nums))
+            if best_num is None or num * best_prob < best_num * prob:
+                best_num, best_prob = num, prob
+        return Fraction(best_num, best_prob * d)
 
     def conditional_natural_extension(self, f: Gamble, event: EventSet) -> Rat:
         """Vacuous at zero lower probability, else the generalized Bayes rule."""

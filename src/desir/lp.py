@@ -372,7 +372,7 @@ def solve(problem: LpProblem) -> LpOutcome:
         # Phase-1 duality: y_i = 1 - reduced cost of artificial column i.
         # Validity (y.A <= 0, y.b > 0) holds by construction and is replayed
         # by verify_farkas in the certificate layer and the test suite.
-        y = tuple(Fraction(1) - tab.value(m, art0 + i) for i in range(m))
+        y = tuple([Fraction(1) - tab.value(m, art0 + i) for i in range(m)])
         return LpOutcome(status=INFEASIBLE, farkas=y)
 
     if not feasibility_only:
@@ -398,7 +398,7 @@ def solve(problem: LpProblem) -> LpOutcome:
         if tab.basis[i] < n_cols:
             x[tab.basis[i]] = tab.value(i, width - 1)
     witness = tuple(
-        x[col] - x[col + 1] if lo is None else x[col] + lo for col, lo in cols
+        [x[col] - x[col + 1] if lo is None else x[col] + lo for col, lo in cols]
     )
     # The min-form row's right-hand side reads minus its current value.
     optimum = Fraction(0) if feasibility_only else -tab.value(m + 1, width - 1)

@@ -26,7 +26,10 @@ Rows = tuple[tuple[Rat, ...], ...]
 
 
 def _to_rows(rows: Iterable[Iterable]) -> Rows:
-    return tuple(tuple(rat(v) for v in row) for row in rows)
+    # Tuples on hot paths are built from lists (see LpProblem.build): a
+    # tuple grown from a generator is resized into place and, once freed,
+    # parks in CPython's free list of its final size.
+    return tuple([tuple([rat(v) for v in row]) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -117,15 +120,17 @@ class Gamble:
         return Gamble.of(space, rows)
 
     def flat(self) -> tuple[Rat, ...]:
-        return tuple(v for row in self.values for v in row)
+        return tuple([v for row in self.values for v in row])
 
     def __add__(self, other: "Gamble") -> "Gamble":
         self._check_mate(other)
         return Gamble(
             self.space,
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.values, other.values)
+                [
+                    tuple([a + b for a, b in zip(ra, rb)])
+                    for ra, rb in zip(self.values, other.values)
+                ]
             ),
         )
 
@@ -134,18 +139,23 @@ class Gamble:
         return Gamble(
             self.space,
             tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.values, other.values)
+                [
+                    tuple([a - b for a, b in zip(ra, rb)])
+                    for ra, rb in zip(self.values, other.values)
+                ]
             ),
         )
 
     def __neg__(self) -> "Gamble":
-        return Gamble(self.space, tuple(tuple(-v for v in row) for row in self.values))
+        return Gamble(
+            self.space, tuple([tuple([-v for v in row]) for row in self.values])
+        )
 
     def scale(self, factor) -> "Gamble":
         factor = rat(factor)
         return Gamble(
-            self.space, tuple(tuple(factor * v for v in row) for row in self.values)
+            self.space,
+            tuple([tuple([factor * v for v in row]) for row in self.values]),
         )
 
     def _check_mate(self, other: "Gamble"):

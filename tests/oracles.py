@@ -6,8 +6,9 @@ one LP each; the vertex oracle solves every full n x n active-set system
 in Fractions; the extreme-point oracle drops, one at a time, every point
 in the hull of all the others, with one LP over all of them each; the
 augmented-set oracles solve the open part of posi(strict + border rays)
-as LPs with one row per credal vertex, border multiples free.  Each is an
-independent route to the same exact answer.
+as LPs with one row per credal vertex, border multiples free; the envelope
+oracles scan the vertices with one Fraction multiply-add per cell.  Each
+is an independent route to the same exact answer.
 """
 
 import itertools
@@ -90,6 +91,62 @@ def extreme_points_bruteforce(space, masses):
         else:
             i += 1
     return tuple(p.mass for p in keep)
+
+
+def _vertex_value(vertex, f):
+    """P(f) at one vertex, in Fractions."""
+    return sum((x * v for x, v in zip(vertex.mass, f.flat())), Fraction(0))
+
+
+def _vertex_probability(vertex, event):
+    m = event.space.n_prizes
+    return sum((vertex.mass[i * m + j] for i, j in event.cells), Fraction(0))
+
+
+def lower_scan(credal, f):
+    return min(_vertex_value(v, f) for v in credal.vertices)
+
+
+def upper_scan(credal, f):
+    return max(_vertex_value(v, f) for v in credal.vertices)
+
+
+def minimizer_scan(credal, f):
+    """The vertex with the least P(f), ties to the smallest mass."""
+    return min(credal.vertices, key=lambda v: (_vertex_value(v, f), v.mass))
+
+
+def lower_probability_scan(credal, event):
+    return min(_vertex_probability(v, event) for v in credal.vertices)
+
+
+def generalized_bayes_scan(credal, f, event):
+    """min over vertices of P(Bf) / P(B), or None when some vertex gives B
+    zero probability."""
+    probs = [_vertex_probability(v, event) for v in credal.vertices]
+    if 0 in probs:
+        return None
+    bf = f.restricted_to(event)
+    return min(_vertex_value(v, bf) / pb for v, pb in zip(credal.vertices, probs))
+
+
+def conditional_natural_extension_scan(credal, f, event):
+    """Vacuous (min of f on B) at zero lower probability, else generalized
+    Bayes."""
+    value = generalized_bayes_scan(credal, f, event)
+    return f.min_over(event) if value is None else value
+
+
+def assessment_lower(assessment, f):
+    """Lower prevision of f under a ConditionalAssessment: the minimum over
+    its conditional masses of the expectation on the event's cells."""
+    return min(
+        sum(
+            (x * f.values[i][j] for x, (i, j) in zip(v, assessment.event.cells)),
+            Fraction(0),
+        )
+        for v in assessment.vertices
+    )
 
 
 def _prize_row(f, state):

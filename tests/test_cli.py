@@ -119,6 +119,23 @@ def test_committed_certificates_byte_identical(doc_path):
     assert all(cmd.startswith("member ") for cmd, _ in wanted)
 
 
+def test_committed_fg_strict_answers_byte_identical():
+    # every answer of the fg-strict-batch workload, so a change to the
+    # strict set's vertex scans shows in its plain member, lowprev and
+    # upprev lines and not only in the benchmark
+    doc_path = BENCH_DATA / "fg-strict-batch" / "batch.doc.txt"
+    wanted = _replay_committed(doc_path, keep=lambda cmd: True)
+    assert {cmd.split()[0] for cmd, _ in wanted} == {
+        "member",
+        "lowprev",
+        "upprev",
+        "pref-holds",
+    }
+    # S is the workload's strict set
+    heads = {" ".join(cmd.split()[:2]) for cmd, _ in wanted}
+    assert {"member S", "lowprev S", "upprev S"} <= heads
+
+
 def test_committed_previsions_byte_identical():
     # every lower and conditional lower prevision of the augmented workload,
     # the values the cone layer's case split decides

@@ -25,6 +25,7 @@ from oracles import (
     augmented_contains_lp,
     augmented_open_conditional_sup,
     augmented_open_lp,
+    assessment_lower,
     family_contains_bruteforce,
 )
 
@@ -762,7 +763,8 @@ def _boundary_gamble(rng, space, family):
     f = Gamble.zero(space)
     for a in rng.sample(family, rng.randint(1, len(family))):
         y = rand_gamble(rng, space, lo=-3, hi=3, max_den=2)
-        f = f + (y - Gamble.constant(space, a.lower(y))).restricted_to(a.event)
+        floor = Gamble.constant(space, assessment_lower(a, y))
+        f = f + (y - floor).restricted_to(a.event)
     nudge = rng.choice((F(0), F(0), F(1, 4), F(-1, 4)))
     return f + Gamble.constant(space, nudge)
 

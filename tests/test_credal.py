@@ -15,7 +15,16 @@ from desir.products import strong_product
 from desir.spaces import EventSet, Gamble, Space
 
 from conftest import rand_gamble, rand_mass_row, rand_space
-from oracles import enumerate_vertices_bruteforce, extreme_points_bruteforce
+from oracles import (
+    conditional_natural_extension_scan,
+    enumerate_vertices_bruteforce,
+    extreme_points_bruteforce,
+    generalized_bayes_scan,
+    lower_probability_scan,
+    lower_scan,
+    minimizer_scan,
+    upper_scan,
+)
 
 COIN = Space(("h", "t"), ("x",))
 TRI = Space(("a", "b", "c"), ("x",))
@@ -226,6 +235,90 @@ def test_minimizer_breaks_ties_to_the_smallest_mass():
     f = g(TRI, [[1], [0], [0]])
     assert cs.minimizer(f).mass == (F(0), F(0), F(1))
     assert cs.minimizer(-f).mass == (F(1), F(0), F(0))
+
+
+def _scan_case(rng, t):
+    """A credal set with vertex masses over mixed denominators: constraint
+    form on even t (None when the constraints leave nothing), vertex form
+    on odd t, unit masses mixed in so events of zero probability occur."""
+    space = rand_space(rng, max_states=3, max_prizes=3, worst=False)
+    if t % 2 == 0:
+        cons = [rand_gamble(rng, space, max_den=6) for _ in range(rng.randint(0, 2))]
+        try:
+            return CredalSet.from_constraints(space, cons)
+        except ModelError:
+            return None
+    n = space.n_cells
+    points = [rand_mass_row(rng, n) for _ in range(rng.randint(1, 6))]
+    for k in rng.sample(range(n), rng.randint(0, min(n, 2))):
+        points.append(tuple(F(int(j == k)) for j in range(n)))
+    return CredalSet.from_vertices(space, points)
+
+
+def _scan_gamble(rng, space):
+    """A random gamble, or one over a small alphabet so that minima tie."""
+    if rng.random() < 0.5:
+        return rand_gamble(rng, space, max_den=6)
+    alphabet = (F(0), F(1), F(-1), F(1, 2))
+    rows = [[rng.choice(alphabet) for _ in space.prizes] for _ in space.omega]
+    return Gamble.of(space, rows)
+
+
+def test_integer_scans_match_the_fraction_oracle(rng):
+    counts = dict.fromkeys(("h-form", "v-form", "tied", "bayes", "none"), 0)
+    for t in range(200):
+        cs = _scan_case(rng, t)
+        if cs is None:
+            continue
+        space = cs.space
+        counts["h-form" if cs.constraints is not None else "v-form"] += 1
+        cells = space.cells()
+        for _ in range(3):
+            f = _scan_gamble(rng, space)
+            for got, want in (
+                (cs.lower(f), lower_scan(cs, f)),
+                (cs.upper(f), upper_scan(cs, f)),
+            ):
+                assert type(got) is F and got == want
+            assert cs.minimizer(f) == minimizer_scan(cs, f)
+            lo = lower_scan(cs, f)
+            counts["tied"] += sum(v(f) == lo for v in cs.vertices) > 1
+            picked = rng.sample(cells, rng.randint(1, len(cells)))
+            event = EventSet(space, tuple(picked))
+            got = cs.lower_probability(event)
+            assert type(got) is F and got == lower_probability_scan(cs, event)
+            got = cs.generalized_bayes(f, event)
+            want = generalized_bayes_scan(cs, f, event)
+            assert got == want and (want is None or type(got) is F)
+            counts["none" if want is None else "bayes"] += 1
+            states = rng.sample(space.omega, rng.randint(1, space.n_states))
+            cylinder = EventSet.from_states(space, states)
+            got = cs.conditional_natural_extension(f, cylinder)
+            assert got == conditional_natural_extension_scan(cs, f, cylinder)
+    assert min(counts.values()) >= 40, counts
+
+
+def test_scans_reject_gambles_and_events_on_another_space():
+    cs = CredalSet.from_vertices(COIN, [(F(1, 3), F(2, 3)), (F(1), F(0))])
+    other = Space(("h", "u"), ("x",))  # same shape, another space
+    f = Gamble.of(other, [[1], [-1]])
+    event = EventSet.from_states(other, ["h"])
+    mine = EventSet.from_states(COIN, ["h"])
+    gamble_msg = "gamble and prevision live on different spaces"
+    event_msg = "event and prevision live on different spaces"
+    for call in (cs.lower, cs.upper, cs.minimizer):
+        with pytest.raises(InputError, match=gamble_msg):
+            call(f)
+    with pytest.raises(InputError, match=gamble_msg):
+        cs.generalized_bayes(f, mine)
+    with pytest.raises(InputError, match=event_msg):
+        cs.lower_probability(event)
+    with pytest.raises(InputError, match=event_msg):
+        cs.generalized_bayes(mine.indicator(), event)
+    with pytest.raises(InputError, match="gamble on the wrong space"):
+        cs.conditional_natural_extension(f, mine)
+    with pytest.raises(InputError, match="event on the wrong space"):
+        cs.conditional_natural_extension(mine.indicator(), event)
 
 
 def test_contains_h_and_v_form():
