@@ -5,12 +5,13 @@ kernel never touches floating point: strict-versus-weak inequality
 distinctions (``> 0`` against ``= 0``) carry all the semantics upstream,
 so every pivot, every ratio test and every certificate is exact.
 
-Scalars are ``fractions.Fraction`` (aliased ``Rat``).  Internally each
-tableau row is kept as a list of integer numerators with one shared
-positive denominator; a pivot then needs one gcd reduction per row
-instead of one per entry, which is what makes the thousands of small
-membership programs run by the upper layers cheap.  The problem goes
-into that form in one pass (:func:`_standard_form`), with no
+Scalars are ``fractions.Fraction`` (aliased ``Rat``).  Internally the
+tableau is integer and pivots are fraction-free (Bareiss): each entry is
+a minor of the integer start matrix, so its size stays polynomial in the
+input and every pivot divides exactly, with no gcd.  Each row keeps its
+own positive denominator; a row a pivot leaves alone is not rescaled
+until a later pivot touches it (see :func:`_pivot`).  The problem goes
+into integer rows in one pass (:func:`_standard_form`), with no
 Fraction-valued intermediate copy of the standard form.
 
 Pivoting uses Bland's rule (smallest eligible index), so the solver
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalError
@@ -165,8 +166,8 @@ class LpOutcome:
 #
 # Rows are built in one pass straight into integer numerators over the lcm
 # of their entries' denominators.  That (numerators, denominator) pair is
-# the row's unique lowest-terms form, the one every pivot restores, so the
-# tableau and hence Bland's path depend only on the rational problem.
+# the row's unique lowest-terms form, so the integer tableau, and hence
+# Bland's path, depend only on the rational problem.
 # ---------------------------------------------------------------------------
 
 _FLIP = {LE: GE, GE: LE, EQ: EQ}
@@ -237,115 +238,97 @@ def _standard_form(problem: LpProblem):
     return rows, dens, cols, objective
 
 
-def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
-    """Divide a row's numerators and positive denominator by their gcd."""
-    g = den
-    for v in nums:
-        g = gcd(g, v)
-        if g == 1:
-            return nums, den
-    return [v // g for v in nums], den // g
-
-
 # ---------------------------------------------------------------------------
-# Integer-numerator tableau
+# Fraction-free (Bareiss) tableau
+#
+# ``rows[i]`` holds integers whose values are ``rows[i][j] / dens[i]``.  Row
+# layout: m constraint rows, then the objective rows, which pivots update
+# but never pick.  Column layout: structural + slack + artificial columns,
+# and the right-hand side last.
 # ---------------------------------------------------------------------------
 
 
-class _Tableau:
-    """Rows of integer numerators, one positive denominator per row.
+def _pivot(rows: list[list[int]], dens: list[int], r: int, c: int, d: int) -> int:
+    """Pivot on (r, c), ``d`` being the previous pivot; returns the new one.
 
-    Row layout: m constraint rows, then any number of objective rows that
-    are updated by pivots but never pivoted on.  Column layout: structural
-    + slack + artificial columns, and the right-hand side as last column.
+    Bareiss maps every other row to ``(p * row - f * pivot_row) // d``, p
+    the pivot and f the row's entry in column c, all rows then over p.
+    Every entry is, up to sign, a minor of the integer start matrix
+    (|det B| times B^-1 [A | b]), so the division is exact.  A row with
+    f = 0 keeps its integers and its own denominator: Bareiss would scale
+    it by p_k+1 / p_k, then p_k+2 / p_k+1, ..., each step integral, and
+    the product telescopes to d / dens[i], so ``v * d // dens[i]`` is
+    exact.  The pivot row is brought over d that way; a touched row takes
+    the scale into its step, ``(p * row - f * pivot_row) // dens[i]``.
     """
-
-    __slots__ = ("nums", "dens", "basis", "m", "width")
-
-    def __init__(self, nums: list[list[int]], dens: list[int], basis: list[int]):
-        self.nums = nums
-        self.dens = dens
-        self.basis = basis
-        self.m = len(basis)
-        self.width = len(nums[0])
-
-    def value(self, i: int, j: int) -> Rat:
-        return Fraction(self.nums[i][j], self.dens[i])
-
-    def pivot(self, r: int, c: int):
-        piv = self.nums[r][c]
-        if piv == 0:
-            raise InternalError("pivot on zero entry")
-        row_r = self.nums[r]
-        if piv < 0:
-            row_r = [-v for v in row_r]
-            piv = -piv
-        # Normalised pivot row: value v_rj / v_rc; row denominator cancels.
-        row_r, new_den_r = _lowest(row_r, piv)
-        for i in range(len(self.nums)):
-            if i == r:
-                continue
-            fac = self.nums[i][c]
-            if fac == 0:
-                continue
-            # v'_ij = v_ij - v_ic * (n_rj / piv')  with piv' = new_den_r
-            self.nums[i], self.dens[i] = _lowest(
-                [a * new_den_r - fac * b for a, b in zip(self.nums[i], row_r)],
-                self.dens[i] * new_den_r,
-            )
-        self.nums[r] = row_r
-        self.dens[r] = new_den_r
+    piv_row = rows[r]
+    if dens[r] != d:
+        piv_row = [v * d // dens[r] for v in piv_row]
+    p = piv_row[c]
+    if p == 0:
+        raise InternalError("pivot on zero entry")
+    if p < 0:  # only when driving an artificial out; keeps every den > 0
+        piv_row = [-v for v in piv_row]
+        p = -p
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            den = dens[i]
+            rows[i] = [(p * a - f * b) // den for a, b in zip(row, piv_row)]
+            dens[i] = p
+    rows[r] = piv_row
+    dens[r] = p
+    return p
 
 
-def _bland(tab: _Tableau, zrow: int, allowed_cols: Sequence[int], cap: int) -> str:
-    """Minimise the objective carried in row ``zrow``; returns a status."""
-    rhs = tab.width - 1
+def _bland(
+    rows: list[list[int]], dens: list[int], basis: list[int], zrow: int, d: int
+) -> tuple[str, int]:
+    """Minimise the objective carried in row ``zrow`` over the columns
+    before the artificials; returns a status and the last pivot."""
+    m = len(basis)
+    n_cols = len(rows[0]) - m - 1
+    cap = 2000 + 40 * len(rows[0]) * (m + 2)
     iters = 0
     while True:
         iters += 1
         if iters > cap:
             raise InternalError("simplex iteration cap exceeded")
-        znums = tab.nums[zrow]
-        enter = -1
-        for j in allowed_cols:
-            if znums[j] < 0:
-                enter = j
-                break
+        z = rows[zrow]
+        enter = next((j for j in range(n_cols) if z[j] < 0), -1)
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, d
         leave = -1
         best_n = best_d = 0  # ratio best_n / best_d, both from the same row
-        for i in range(tab.m):
-            a = tab.nums[i][enter]
+        for i in range(m):
+            a = rows[i][enter]
             if a <= 0:
                 continue
-            bi = tab.nums[i][rhs]
+            bi = rows[i][-1]
             if leave < 0 or bi * best_d < best_n * a or (
-                bi * best_d == best_n * a and tab.basis[i] < tab.basis[leave]
+                bi * best_d == best_n * a and basis[i] < basis[leave]
             ):
                 leave, best_n, best_d = i, bi, a
         if leave < 0:
-            return UNBOUNDED
-        tab.pivot(leave, enter)
-        tab.basis[leave] = enter
+            return UNBOUNDED, d
+        d = _pivot(rows, dens, leave, enter, d)
+        basis[leave] = enter
 
 
 def solve(problem: LpProblem) -> LpOutcome:
     """Solve exactly; deterministic for identical input."""
-    rows, dens, cols, (z2, z2_den) = _standard_form(problem)
+    rows, row_dens, cols, (z2, z2_den) = _standard_form(problem)
     m = len(rows)
     n_cols = art0 = len(z2) - 1
-    width = n_cols + m + 1
 
-    # Phase-1 objective: minimise the artificial sum, reduced against the
-    # all-artificial basis, i.e. minus the sum of the rows, zero on the
-    # artificial columns.
-    den_z = 1
-    for den in dens:
-        den_z = lcm(den_z, den)
+    # Row i is taken times den_i, its unit artificial column standing for
+    # den_i times the original artificial.  Phase 1 still minimises the sum
+    # of the original artificials: minus the sum of the rows over their
+    # denominators, an integer row over their lcm, zero on the artificials.
+    lcm_den = lcm(*row_dens)
     z1 = [0] * (n_cols + 1)
-    for row, den in zip(rows, dens):
-        scale = den_z // den
+    for row, den in zip(rows, row_dens):
+        scale = lcm_den // den
         for j, v in enumerate(row):
             if v:
                 z1[j] -= v * scale
@@ -353,55 +336,57 @@ def solve(problem: LpProblem) -> LpOutcome:
     def widen(row):  # room for the artificial columns, before b
         return row[:-1] + [0] * m + row[-1:]
 
-    nums = [widen(row) for row in rows]
-    for i, den in enumerate(dens):
-        nums[i][art0 + i] = den
-    z1, den_z = _lowest(widen(z1), den_z)
-    nums.append(z1)
-    dens.append(den_z)
+    tab = [widen(row) for row in rows]
+    for i in range(m):
+        tab[i][art0 + i] = 1
+    tab.append(widen(z1))
     feasibility_only = not any(z2)
     if not feasibility_only:
-        nums.append(widen(z2))
-        dens.append(z2_den)
-    tab = _Tableau(nums, dens, [art0 + i for i in range(m)])
-    cap = 2000 + 40 * width * (m + 2)
+        tab.append(widen(z2))
+    dens = [1] * len(tab)
+    basis = [art0 + i for i in range(m)]
 
-    if _bland(tab, m, range(n_cols), cap) != OPTIMAL:
+    status, d = _bland(tab, dens, basis, m, 1)
+    if status != OPTIMAL:
         raise InternalError("phase 1 cannot be unbounded")
-    if tab.nums[m][-1] < 0:  # minus the phase-1 optimum
-        # Phase-1 duality: y_i = 1 - reduced cost of artificial column i.
-        # Validity (y.A <= 0, y.b > 0) holds by construction and is replayed
-        # by verify_farkas in the certificate layer and the test suite.
-        y = tuple([Fraction(1) - tab.value(m, art0 + i) for i in range(m)])
-        return LpOutcome(status=INFEASIBLE, farkas=y)
+    if tab[m][-1] < 0:  # minus the phase-1 optimum
+        # Phase-1 duality: y_i = 1 - reduced cost of the original artificial
+        # i, which is den_i times that of the scaled one.  Validity
+        # (y.A <= 0, y.b > 0) holds by construction and is replayed by
+        # verify_farkas in the certificate layer and the test suite.
+        z_den = dens[m] * lcm_den
+        y = [1 - Fraction(den * v, z_den) for den, v in zip(row_dens, tab[m][art0:])]
+        return LpOutcome(status=INFEASIBLE, farkas=tuple(y))
 
     if not feasibility_only:
         # Drive leftover artificials out of the basis (they sit at value 0).
         # A row with no nonzero entry in a real column stays as it is: no
         # ratio test can pick it and no pivot changes it.
         for i in range(m):
-            if tab.basis[i] < art0:
+            if basis[i] < art0:
                 continue
-            enter = next((j for j in range(n_cols) if tab.nums[i][j]), -1)
+            enter = next((j for j in range(n_cols) if tab[i][j]), -1)
             if enter >= 0:
-                tab.pivot(i, enter)
-                tab.basis[i] = enter
+                d = _pivot(tab, dens, i, enter, d)
+                basis[i] = enter
         # The phase-2 row needs no re-expression in this basis: it starts at
         # zero on the artificial basis and rode along every pivot, and a
         # pivot zeroes the entering column in every other row, so it is zero
         # on every basic column already.
-        if _bland(tab, m + 1, range(n_cols), cap) == UNBOUNDED:
+        if _bland(tab, dens, basis, m + 1, d)[0] == UNBOUNDED:
             return LpOutcome(status=UNBOUNDED)
 
     x = [Fraction(0)] * n_cols
-    for i in range(m):
-        if tab.basis[i] < n_cols:
-            x[tab.basis[i]] = tab.value(i, width - 1)
+    for i, col in enumerate(basis):
+        if col < n_cols:
+            x[col] = Fraction(tab[i][-1], dens[i])
     witness = tuple(
         [x[col] - x[col + 1] if lo is None else x[col] + lo for col, lo in cols]
     )
     # The min-form row's right-hand side reads minus its current value.
-    optimum = Fraction(0) if feasibility_only else -tab.value(m + 1, width - 1)
+    optimum = Fraction(0)
+    if not feasibility_only:
+        optimum = Fraction(-tab[m + 1][-1], dens[m + 1] * z2_den)
     if problem.sense == "max":
         optimum = -optimum
     return LpOutcome(status=OPTIMAL, optimum=optimum, witness=witness)

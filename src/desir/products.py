@@ -288,9 +288,11 @@ def satisfies_a4(
 def is_strong_product(
     joint: CredalSet, m_omega: CredalSet, m_x: CredalSet
 ) -> bool:
-    """Both directions of domination against the strong product."""
-    _check_factors(joint.space, m_omega, m_x)
-    if not satisfies_a5(joint, m_omega, m_x):
-        return False
-    sp = strong_product(m_omega, m_x, joint.space)
-    return all(sp.contains(v) for v in joint.vertices)
+    """Whether the joint is the strong product of the two marginals.
+
+    Two polytopes are equal exactly when their extreme points are, and
+    both vertex lists are distinct, extreme and sorted (the ``CredalSet``
+    invariant, which ``strong_product`` proves for its own output), so
+    the lists are compared directly, with no LP.
+    """
+    return joint.vertices == strong_product(m_omega, m_x, joint.space).vertices

@@ -7,8 +7,11 @@ in Fractions; the extreme-point oracle drops, one at a time, every point
 in the hull of all the others, with one LP over all of them each; the
 augmented-set oracles solve the open part of posi(strict + border rays)
 as LPs with one row per credal vertex, border multiples free; the envelope
-oracles scan the vertices with one Fraction multiply-add per cell.  Each
-is an independent route to the same exact answer.
+oracles scan the vertices with one Fraction multiply-add per cell; the
+strong-product oracle checks domination both ways with one hull LP per
+vertex; the reference simplex keeps every tableau row in lowest terms
+with one gcd reduction per row and pivot.  Each is an independent route
+to the same exact answer.
 """
 
 import itertools
@@ -16,9 +19,154 @@ import math
 from fractions import Fraction
 
 from desir.credal import ENUMERATION_BUDGET, LinearPrevision
-from desir.errors import ResourceLimitError
-from desir.lp import EQ, GE, LE, OPTIMAL, UNBOUNDED, LpProblem, solve
+from desir.errors import InternalError, ResourceLimitError
+from desir.lp import (
+    EQ,
+    GE,
+    INFEASIBLE,
+    LE,
+    OPTIMAL,
+    UNBOUNDED,
+    LpOutcome,
+    LpProblem,
+    _standard_form,
+    solve,
+)
+from desir.products import satisfies_a5, strong_product
 from desir.spaces import Gamble, omega_factor_space, prizes_factor_space
+
+
+def _lowest(nums, den):
+    """Divide a row's numerators and positive denominator by their gcd."""
+    g = den
+    for v in nums:
+        g = math.gcd(g, v)
+        if g == 1:
+            return nums, den
+    return [v // g for v in nums], den // g
+
+
+class _Tableau:
+    """Rows of integer numerators, one positive lowest-terms denominator
+    per row; m constraint rows, then the objective rows."""
+
+    def __init__(self, nums, dens, basis):
+        self.nums = nums
+        self.dens = dens
+        self.basis = basis
+        self.m = len(basis)
+        self.width = len(nums[0])
+
+    def value(self, i, j):
+        return Fraction(self.nums[i][j], self.dens[i])
+
+    def pivot(self, r, c):
+        piv = self.nums[r][c]
+        if piv == 0:
+            raise InternalError("pivot on zero entry")
+        row_r = self.nums[r]
+        if piv < 0:
+            row_r = [-v for v in row_r]
+            piv = -piv
+        # Normalised pivot row: value v_rj / v_rc; row denominator cancels.
+        row_r, new_den_r = _lowest(row_r, piv)
+        for i in range(len(self.nums)):
+            if i == r:
+                continue
+            fac = self.nums[i][c]
+            if fac == 0:
+                continue
+            self.nums[i], self.dens[i] = _lowest(
+                [a * new_den_r - fac * b for a, b in zip(self.nums[i], row_r)],
+                self.dens[i] * new_den_r,
+            )
+        self.nums[r] = row_r
+        self.dens[r] = new_den_r
+
+
+def _bland(tab, zrow, allowed_cols, cap):
+    rhs = tab.width - 1
+    iters = 0
+    while True:
+        iters += 1
+        if iters > cap:
+            raise InternalError("simplex iteration cap exceeded")
+        znums = tab.nums[zrow]
+        enter = next((j for j in allowed_cols if znums[j] < 0), -1)
+        if enter < 0:
+            return OPTIMAL
+        leave = -1
+        best_n = best_d = 0
+        for i in range(tab.m):
+            a = tab.nums[i][enter]
+            if a <= 0:
+                continue
+            bi = tab.nums[i][rhs]
+            if leave < 0 or bi * best_d < best_n * a or (
+                bi * best_d == best_n * a and tab.basis[i] < tab.basis[leave]
+            ):
+                leave, best_n, best_d = i, bi, a
+        if leave < 0:
+            return UNBOUNDED
+        tab.pivot(leave, enter)
+        tab.basis[leave] = enter
+
+
+def solve_reference(problem):
+    """Two-phase Bland simplex on lowest-terms integer rows: the same
+    pivots as :func:`desir.lp.solve`, with a gcd reduction per touched row
+    where the kernel divides exactly (fraction-free)."""
+    rows, dens, cols, (z2, z2_den) = _standard_form(problem)
+    m = len(rows)
+    n_cols = art0 = len(z2) - 1
+    width = n_cols + m + 1
+    den_z = math.lcm(*dens)
+    z1 = [0] * (n_cols + 1)
+    for row, den in zip(rows, dens):
+        for j, v in enumerate(row):
+            z1[j] -= v * (den_z // den)
+
+    def widen(row):
+        return row[:-1] + [0] * m + row[-1:]
+
+    nums = [widen(row) for row in rows]
+    for i, den in enumerate(dens):
+        nums[i][art0 + i] = den
+    z1, den_z = _lowest(widen(z1), den_z)
+    nums.append(z1)
+    dens.append(den_z)
+    feasibility_only = not any(z2)
+    if not feasibility_only:
+        nums.append(widen(z2))
+        dens.append(z2_den)
+    tab = _Tableau(nums, dens, [art0 + i for i in range(m)])
+    cap = 2000 + 40 * width * (m + 2)
+    if _bland(tab, m, range(n_cols), cap) != OPTIMAL:
+        raise InternalError("phase 1 cannot be unbounded")
+    if tab.nums[m][-1] < 0:
+        y = tuple(Fraction(1) - tab.value(m, art0 + i) for i in range(m))
+        return LpOutcome(status=INFEASIBLE, farkas=y)
+    if not feasibility_only:
+        for i in range(m):
+            if tab.basis[i] < art0:
+                continue
+            enter = next((j for j in range(n_cols) if tab.nums[i][j]), -1)
+            if enter >= 0:
+                tab.pivot(i, enter)
+                tab.basis[i] = enter
+        if _bland(tab, m + 1, range(n_cols), cap) == UNBOUNDED:
+            return LpOutcome(status=UNBOUNDED)
+    x = [Fraction(0)] * n_cols
+    for i in range(m):
+        if tab.basis[i] < n_cols:
+            x[tab.basis[i]] = tab.value(i, width - 1)
+    witness = tuple(
+        x[col] - x[col + 1] if lo is None else x[col] + lo for col, lo in cols
+    )
+    optimum = Fraction(0) if feasibility_only else -tab.value(m + 1, width - 1)
+    if problem.sense == "max":
+        optimum = -optimum
+    return LpOutcome(status=OPTIMAL, optimum=optimum, witness=witness)
 
 
 def _gauss_solve(rows, rhs):
@@ -311,3 +459,12 @@ def augmented_open_conditional_sup(dset, f, event):
     out = solve(LpProblem.build([Fraction(1)] + [Fraction(0)] * nb, "max", cons, bounds))
     assert out.status != UNBOUNDED
     return out.optimum if out.status == OPTIMAL else None
+
+
+def is_strong_product_lp(joint, m_omega, m_x):
+    """Domination both ways with hull LPs: every vertex-pair product lies
+    in the joint, and every joint vertex lies in the strong product."""
+    if not satisfies_a5(joint, m_omega, m_x):
+        return False
+    sp = strong_product(m_omega, m_x, joint.space)
+    return all(sp.contains(v) for v in joint.vertices)

@@ -18,6 +18,7 @@ from desir.lp import (
 )
 
 from conftest import rand_rat
+from oracles import solve_reference
 
 
 def test_single_bound():
@@ -268,9 +269,8 @@ def test_infeasible_random_certificates(rng):
         assert verify_farkas(prob, out.farkas)
 
 
-def _random_general_problem(rng):
-    """n, m in 0..5; default, free, shifted, upper-only and boxed variables."""
-    n, m = rng.randint(0, 5), rng.randint(0, 5)
+def _random_bounds(rng, n):
+    """Default, free, shifted, upper-only and boxed variables."""
     bounds = []
     for _ in range(n):
         kind = rng.randrange(5)
@@ -285,6 +285,13 @@ def _random_general_problem(rng):
         else:
             lo = rand_rat(rng)
             bounds.append((lo, lo + rand_rat(rng, lo=0, hi=4)))
+    return bounds
+
+
+def _random_general_problem(rng):
+    """n, m in 0..5, every bound shape of :func:`_random_bounds`."""
+    n, m = rng.randint(0, 5), rng.randint(0, 5)
+    bounds = _random_bounds(rng, n)
     cons = [
         (
             [rand_rat(rng) if rng.random() < 0.8 else F(0) for _ in range(n)],
@@ -327,3 +334,49 @@ def test_random_battery_certificates_and_pinned_outcomes():
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
     assert digest == _BATTERY_DIGEST
+
+
+def _random_sparse_problem(rng):
+    """n, m in 1..14, each coefficient nonzero with one probability drawn
+    in 0.1..0.7, so a row often skips several pivots.  Half the systems are
+    feasible by construction, at a point of the box."""
+    n, m = rng.randint(1, 14), rng.randint(1, 14)
+    density = rng.uniform(0.1, 0.7)
+    bounds = _random_bounds(rng, n)
+    point = None
+    if rng.random() < 0.5:
+        point = [
+            lo if lo is not None else hi if hi is not None else rand_rat(rng)
+            for lo, hi in bounds
+        ]
+    cons = []
+    for _ in range(m):
+        coeffs = [rand_rat(rng) if rng.random() < density else F(0) for _ in range(n)]
+        rel = rng.choice([LE, GE, EQ])
+        if point is None:
+            rhs = rand_rat(rng)
+        else:
+            slack = {LE: 1, GE: -1, EQ: 0}[rel] * rand_rat(rng, lo=0, hi=2)
+            rhs = sum((a * x for a, x in zip(coeffs, point)), slack)
+        cons.append((coeffs, rel, rhs))
+    objective = [rand_rat(rng) if rng.random() < density else F(0) for _ in range(n)]
+    return LpProblem.build(objective, rng.choice(["max", "min"]), cons, bounds)
+
+
+def test_sparse_battery_matches_reference_simplex():
+    import random
+
+    rng = random.Random(1968)
+    counts = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(1000):
+        prob = _random_sparse_problem(rng)
+        out = solve(prob)
+        assert out == solve_reference(prob)
+        counts[out.status] += 1
+        if out.status == OPTIMAL:
+            assert verify_witness(prob, out.witness)
+            got = sum((c * x for c, x in zip(prob.objective, out.witness)), F(0))
+            assert got == out.optimum
+        elif out.status == INFEASIBLE:
+            assert verify_farkas(prob, out.farkas)
+    assert min(counts.values()) >= 100, counts

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from desir.cones import DesirSet
 from desir.credal import CredalSet, LinearPrevision
-from desir.errors import InputError
+from desir.errors import InputError, ModelError
 from desir.products import (
     A4_FAILS,
     A4_HOLDS_EXACT,
@@ -28,7 +29,7 @@ from desir.spaces import (
 )
 
 from conftest import rand_gamble, rand_mass_row, rand_space
-from oracles import m1_lower_bruteforce, strong_product_lower
+from oracles import is_strong_product_lp, m1_lower_bruteforce, strong_product_lower
 
 SQ = Space(("w0", "w1"), ("x0", "x1"))
 OF = omega_factor_space(SQ)
@@ -327,6 +328,38 @@ def test_linear_three_way_equivalence():
             is_strong_product(joint, joint.marginal_omega(), joint.marginal_prizes())
             == factorizes
         )
+
+
+def test_is_strong_product_matches_hull_lps():
+    rng = random.Random(1202)
+    verdicts = []
+    while len(verdicts) < 300:
+        space = rand_space(rng, worst=False)
+        of, pf = omega_factor_space(space), prizes_factor_space(space)
+        m_omega, m_x = rand_factor_credal(rng, of), rand_factor_credal(rng, pf)
+        sp = strong_product(m_omega, m_x, space)
+        kind = rng.randrange(4)
+        if kind == 0:
+            cons = [rand_gamble(rng, space) for _ in range(rng.randint(1, 2))]
+            try:
+                joint = CredalSet.from_constraints(space, cons)
+            except ModelError:
+                continue
+        elif kind == 1:
+            joint = sp
+        elif kind == 2:
+            extra = rand_mass_row(rng, space.n_cells)
+            joint = CredalSet.from_vertices(
+                space, [v.mass for v in sp.vertices] + [extra]
+            )
+        else:
+            joint = CredalSet.vacuous(space)
+        if rng.random() < 0.5:
+            m_omega, m_x = joint.marginal_omega(), joint.marginal_prizes()
+        got = is_strong_product(joint, m_omega, m_x)
+        assert got == is_strong_product_lp(joint, m_omega, m_x)
+        verdicts.append(got)
+    assert 50 <= sum(verdicts) <= 250
 
 
 def test_ine_is_not_strong_product():
