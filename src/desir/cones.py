@@ -9,10 +9,13 @@
                    non-Archimedean models such as the second believer in
                    the fair-coin story: same previsions, different border.
 
-Membership, (conditional) lower previsions, conditioning and
-marginalisation views, strictness, the conditional-strictness property on
-supports, and open-superset search are all decided by exact linear
-programs.  Positive membership verdicts carry a positive-combination or
+Every answer is exact.  Vertex scans of the credal set decide the open
+part, lower previsions, the generalized Bayes rule and the open-superset
+search (the vertex centroid) of the credal kinds.  Exact linear programs
+decide the rest: the cone LP over the rays, the residual LP, the fg
+separating prevision, and the partial-loss LP, whose Farkas vector is
+also the open-superset witness of an fg set (Ville's alternative).
+Positive membership verdicts carry a positive-combination or
 positive-expectation certificate; negative verdicts carry a separating
 linear prevision.  Certificates replay exactly.
 
@@ -40,7 +43,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .credal import CredalSet, LinearPrevision
 from .errors import InputError, InternalError, ModelError
-from .lp import EQ, GE, LE, OPTIMAL, LpProblem, Rat, rat, solve
+from .lp import EQ, GE, LE, OPTIMAL, LpOutcome, LpProblem, Rat, rat, solve
 from .spaces import (
     EventSet,
     Gamble,
@@ -87,9 +90,11 @@ class PositiveCombination:
 
 @dataclass(frozen=True)
 class PositiveExpectation:
-    """After peeling border multiples, every credal vertex pays out.
+    """Every credal vertex pays out on f: f is in the open part.
 
-    value = min over vertices of (f - sum mu_j b_j), strictly positive.
+    value = min over vertices of f, strictly positive.  The border
+    multiples are all zero, as subtracting border rays never raises an
+    expectation; a replay peels whatever multiples it is given.
     """
 
     border_lambdas: tuple[Rat, ...]
@@ -130,6 +135,13 @@ class MembershipVerdict:
 # ---------------------------------------------------------------------------
 
 
+def _losing_mix(gambles: Sequence[Gamble]) -> LpOutcome:
+    """The partial-loss LP over a nonempty list: lambda >= 0,
+    sum lambda = 1, sum lambda_k g_k <= 0."""
+    flats = [g.flat() for g in gambles]
+    return solve(LpProblem.cone(flats, LE, [0] * len(flats[0]), convex=True))
+
+
 def avoids_partial_loss(
     space: Space, gambles: Sequence[Gamble]
 ) -> tuple[bool, Optional[tuple[Rat, ...]]]:
@@ -139,20 +151,38 @@ def avoids_partial_loss(
     """
     if not gambles:
         return True, None
-    flats = [g.flat() for g in gambles]
-    out = solve(LpProblem.cone(flats, LE, [0] * len(flats[0]), convex=True))
+    out = _losing_mix(gambles)
     if out.status == OPTIMAL:
         return False, out.witness
     return True, None
 
 
-def combines_to_zero(gambles: Sequence[Gamble]) -> bool:
-    """True iff some convex combination of the gambles is exactly zero."""
+def open_superset_witness(
+    space: Space, gambles: Sequence[Gamble]
+) -> tuple[bool, Optional[LinearPrevision]]:
+    """A prevision strictly positive on every gamble, if one exists.
+
+    Ville's alternative, for any finite list of gambles: either some
+    convex combination is <= 0 (partial loss) or some prevision is
+    strictly positive on all of them, never both.  The partial-loss LP
+    decides it and, when infeasible, its Farkas vector y is the witness.
+    In verify_farkas's convention y.b > 0 gives y_last > 0, the slack of
+    each cell row gives y_c <= 0, and each gamble's column gives
+    sum_c -y_c g(c) >= y_last > 0; so P = -y[:n] / sum(-y[:n]).  With no
+    gambles the uniform prevision serves.
+    """
+    n = space.n_cells
     if not gambles:
-        return False
-    flats = [g.flat() for g in gambles]
-    out = solve(LpProblem.cone(flats, EQ, [0] * len(flats[0]), convex=True))
-    return out.status == OPTIMAL
+        return True, LinearPrevision(space, (Fraction(1, n),) * n)
+    out = _losing_mix(gambles)
+    if out.status == OPTIMAL:
+        return False, None
+    weights = [-y for y in out.farkas[:n]]
+    total = sum(weights, Fraction(0))
+    p = LinearPrevision(space, tuple([w / total for w in weights]))
+    if any(p(g) <= 0 for g in gambles):
+        raise InternalError("Farkas prevision is not positive on every gamble")
+    return True, p
 
 
 def _peel(f: Gamble, weights: Sequence[Rat], rays: Sequence[Gamble]) -> Gamble:
@@ -377,12 +407,15 @@ class DesirSet:
 
     def has_open_superset(self) -> tuple[bool, Optional[LinearPrevision]]:
         """Search for one prevision strictly positive on every asserted ray:
-        any prevision for fg, a point of the credal set for the credal
-        kinds."""
+        any prevision for fg (one partial-loss LP), a point of the credal
+        set for the credal kinds.  Every border ray b has lower(b) = 0, so
+        v(b) >= 0 at every vertex v and the vertex centroid is positive on
+        b iff some point of the set is: no LP."""
         if self.kind == FG:
             return open_superset_witness(self.space, self.generators)
-        p = _positive_mix(self.space, self.credal.vertices, self.borders)
-        return p is not None, p
+        p = self.credal.centroid()
+        ok = all(p(b) > 0 for b in self.borders)
+        return ok, p if ok else None
 
     def credal_projection(self) -> CredalSet:
         """The credal set of the induced lower prevision."""
@@ -411,51 +444,15 @@ class DesirSet:
             raise InputError("gamble on the wrong space")
 
 
-def open_superset_witness(
-    space: Space, generators: Sequence[Gamble]
-) -> tuple[bool, Optional[LinearPrevision]]:
-    """A prevision strictly positive on every generator, if one exists.
-
-    Works on raw generator lists too; for cones of zero-row-sum gambles
-    this is one horn of the Gordan dichotomy, avoiding partial loss the
-    other.
-    """
-    n = space.n_cells
-    units = [
-        LinearPrevision(space, tuple(Fraction(int(c == j)) for c in range(n)))
-        for j in range(n)
-    ]
-    p = _positive_mix(space, units, generators)
-    return p is not None, p
-
-
-def _positive_mix(
-    space: Space, points: Sequence[LinearPrevision], rays: Sequence[Gamble]
-) -> Optional[LinearPrevision]:
-    """A mixture of the points that is strictly positive on every ray."""
-    k = len(points)
-    cons = [([p(b) for p in points] + [Fraction(-1)], GE, Fraction(0)) for b in rays]
-    cons.append(([Fraction(1)] * k + [Fraction(0)], EQ, Fraction(1)))
-    cons.append(([Fraction(0)] * k + [Fraction(1)], LE, Fraction(1)))
-    out = solve(LpProblem.build([Fraction(0)] * k + [Fraction(1)], "max", cons))
-    if out.status != OPTIMAL or out.optimum <= 0:
-        return None
-    alpha = out.witness[:k]
-    mass = tuple(
-        sum((a * p.mass[c] for a, p in zip(alpha, points)), Fraction(0))
-        for c in range(space.n_cells)
-    )
-    return LinearPrevision(space, mass)
-
-
 def _check_border_coherence(space: Space, borders: Sequence[Gamble]):
-    """Reject border lists whose cone meets -L+ or the origin."""
-    if combines_to_zero(borders):
+    """Reject border lists whose cone meets -L+ or the origin: one
+    partial-loss LP, its convex combination telling the two apart."""
+    ok, weights = avoids_partial_loss(space, borders)
+    if ok:
+        return
+    if _peel(Gamble.zero(space), weights, borders).is_zero():
         raise ModelError("border rays positively combine to zero")
-    # No convex combination is 0, so any convex combination <= 0 is a
-    # nonzero negative gamble: avoiding partial loss is the exact test.
-    if not avoids_partial_loss(space, borders)[0]:
-        raise ModelError("border rays positively combine to a negative gamble")
+    raise ModelError("border rays positively combine to a negative gamble")
 
 
 # ---------------------------------------------------------------------------

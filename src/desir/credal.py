@@ -343,6 +343,14 @@ class CredalSet:
         vals, den = self._values(f)
         return Fraction(max(vals), den)
 
+    def centroid(self) -> LinearPrevision:
+        """The mean of the vertices: P(f) > 0 whenever every vertex has
+        P(f) >= 0 and some vertex has P(f) > 0."""
+        total = len(self._rows) * self._den
+        return LinearPrevision(
+            self.space, tuple([Fraction(sum(col), total) for col in zip(*self._rows)])
+        )
+
     def minimizer(self, f: Gamble) -> LinearPrevision:
         """The vertex with the least P(f), ties to the smallest mass (the
         first such vertex, since the vertices are in lexicographic order)."""

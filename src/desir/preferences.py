@@ -7,6 +7,12 @@ back, which is the equivalence this package is built around.  Bare
 relations (no worst outcome yet) keep their cone inside the zero-row-sum
 space and support the minimal extension that adjoins one.
 
+Both flavours use one cone, the natural extension of their difference
+gambles.  A bare difference sums to zero in each state, so a convex
+combination <= 0 of them is 0 and avoiding partial loss is consistency;
+f = sum lambda_k g_k + h with h >= 0 forces h = 0, so the natural
+extension holds exactly the nonzero members of posi(differences).
+
 The Archimedean ladder for worst-outcome relations collapses to two
 exact tests: weak continuity is strict desirability of the projected
 set, and the traditional/strong forms additionally need every cell
@@ -20,10 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cones import DesirSet, avoids_partial_loss, combines_to_zero
+from .cones import DesirSet
 from .credal import CredalSet
 from .errors import InputError, InternalError, ModelError
-from .lp import EQ, OPTIMAL, LpProblem, Rat, solve
+from .lp import Rat
 from .spaces import Gamble, HorseLottery, Space, project_pi
 
 NOT_WEAK = "not-weak"
@@ -72,72 +78,53 @@ class PreferenceRelation:
                 raise ModelError("a strict preference cannot relate an act to itself")
         return PreferenceRelation(space, pairs, bare)
 
-    @cached_property
-    def _generators(self) -> tuple[Gamble, ...]:
-        gens = []
-        for p, q in self.pairs:
-            if self.bare:
-                gens.append(Gamble(self.space, p.difference(q)))
-            else:
-                gens.append(project_pi(self.space, p.difference(q)))
-        return tuple(gens)
+    def _gamble(self, p: HorseLottery, q: HorseLottery) -> Gamble:
+        """The gamble of p > q: the act difference, projected with a worst
+        outcome, as is for a bare relation."""
+        if p.space != self.space or q.space != self.space:
+            raise InputError("lottery on the wrong space")
+        if not self.bare:
+            return project_pi(self.space, p.difference(q))
+        if p.includes_worst or q.includes_worst:
+            raise InputError("bare relations compare bare lotteries")
+        return Gamble(self.space, p.difference(q))
 
     def cone_generators(self) -> tuple[Gamble, ...]:
         """One gamble per asserted pair: the (projected) act difference."""
-        return self._generators
+        return tuple([self._gamble(p, q) for p, q in self.pairs])
+
+    @cached_property
+    def _cone(self) -> Optional[DesirSet]:
+        """The natural extension of the generators; None when they incur
+        partial loss."""
+        try:
+            return DesirSet.from_generators(self.space, self.cone_generators())
+        except ModelError:
+            return None
 
     # -- consistency -----------------------------------------------------
 
-    @cached_property
-    def _consistent(self) -> bool:
-        gens = self.cone_generators()
-        if not self.bare:
-            return avoids_partial_loss(self.space, gens)[0]
-        # bare case: the cone of differences must miss the origin exactly
-        return not combines_to_zero(gens)
-
     def is_consistent(self) -> bool:
-        return self._consistent
+        return self._cone is not None
 
-    def _require_consistent(self):
-        if not self.is_consistent():
+    def _require_consistent(self) -> DesirSet:
+        if self._cone is None:
             raise ModelError("the asserted preferences are inconsistent")
+        return self._cone
 
     # -- queries -----------------------------------------------------------
 
     def holds(self, p: HorseLottery, q: HorseLottery) -> bool:
         """Whether p > q follows from the assertions (cone membership)."""
-        self._require_consistent()
-        if self.bare:
-            if p.includes_worst or q.includes_worst:
-                raise InputError("bare relations compare bare lotteries")
-            diff = Gamble(self.space, p.difference(q))
-            return self._bare_cone_member(diff)
-        return self.to_desirset().contains(
-            project_pi(self.space, p.difference(q))
-        )
-
-    def _bare_cone_member(self, diff: Gamble) -> bool:
-        if diff.is_zero():
-            return False
-        gens = self.cone_generators()
-        if not gens:
-            return False
-        flats = [g.flat() for g in gens]
-        return solve(LpProblem.cone(flats, EQ, diff.flat())).status == OPTIMAL
+        return self._require_consistent().contains(self._gamble(p, q))
 
     # -- the equivalence ---------------------------------------------------
-
-    @cached_property
-    def _projected_set(self) -> DesirSet:
-        return DesirSet.from_generators(self.space, self.cone_generators())
 
     def to_desirset(self) -> DesirSet:
         """The projected cone as a finitely generated coherent set."""
         if self.bare:
             raise InputError("only worst-outcome relations project to gambles")
-        self._require_consistent()
-        return self._projected_set
+        return self._require_consistent()
 
     def archimedean_class(self) -> str:
         """weak continuity = strict desirability; the traditional and
@@ -176,8 +163,7 @@ def extend_to_worst_outcome(rel: PreferenceRelation) -> DesirSet:
     if not rel.bare:
         raise InputError("the relation already has a worst outcome")
     rel.space.require_worst()
-    rel._require_consistent()
-    return DesirSet.from_generators(rel.space, rel.cone_generators())
+    return rel._require_consistent()
 
 
 def archimedean_class_of_set(dset: DesirSet) -> str:

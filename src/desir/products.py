@@ -115,6 +115,7 @@ def is_irrelevant_product(
     each single state; generator sufficiency when the marginal is
     finitely generated, caller-supplied probes otherwise."""
     joint = d_joint.space
+    _check_factors(joint, None, r_x)
     if r_x.kind == "fg":
         rays = r_x.generators
     elif probes:

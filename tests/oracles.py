@@ -10,8 +10,10 @@ as LPs with one row per credal vertex, border multiples free; the envelope
 oracles scan the vertices with one Fraction multiply-add per cell; the
 strong-product oracle checks domination both ways with one hull LP per
 vertex; the reference simplex keeps every tableau row in lowest terms
-with one gcd reduction per row and pivot.  Each is an independent route
-to the same exact answer.
+with one gcd reduction per row and pivot; the dichotomy oracles decide
+the open side of partial loss by a max-margin LP over mixtures of given
+points, and a bare preference cone by convex and conic equality LPs.
+Each is an independent route to the same exact answer.
 """
 
 import itertools
@@ -468,3 +470,51 @@ def is_strong_product_lp(joint, m_omega, m_x):
         return False
     sp = strong_product(m_omega, m_x, joint.space)
     return all(sp.contains(v) for v in joint.vertices)
+
+
+def combines_to_zero(gambles):
+    """True iff some convex combination of the gambles is exactly zero."""
+    if not gambles:
+        return False
+    flats = [g.flat() for g in gambles]
+    out = solve(LpProblem.cone(flats, EQ, [0] * len(flats[0]), convex=True))
+    return out.status == OPTIMAL
+
+
+def positive_mix(space, points, rays):
+    """A mixture of the points strictly positive on every ray, or None:
+    max t subject to sum alpha_k p_k(b) >= t for every ray b, alpha in the
+    simplex and t <= 1."""
+    k = len(points)
+    cons = [([p(b) for p in points] + [Fraction(-1)], GE, Fraction(0)) for b in rays]
+    cons.append(([Fraction(1)] * k + [Fraction(0)], EQ, Fraction(1)))
+    cons.append(([Fraction(0)] * k + [Fraction(1)], LE, Fraction(1)))
+    out = solve(LpProblem.build([Fraction(0)] * k + [Fraction(1)], "max", cons))
+    if out.status != OPTIMAL or out.optimum <= 0:
+        return None
+    alpha = out.witness[:k]
+    mass = tuple(
+        sum((a * p.mass[c] for a, p in zip(alpha, points)), Fraction(0))
+        for c in range(space.n_cells)
+    )
+    return LinearPrevision(space, mass)
+
+
+def open_superset_mix(space, gambles):
+    """(found, prevision): a mixture of the cell units strictly positive
+    on every gamble."""
+    n = space.n_cells
+    units = [
+        LinearPrevision(space, tuple(Fraction(int(c == j)) for c in range(n)))
+        for j in range(n)
+    ]
+    p = positive_mix(space, units, gambles)
+    return p is not None, p
+
+
+def bare_cone_contains(gambles, f):
+    """f is nonzero and a nonnegative combination of the gambles exactly."""
+    if f.is_zero() or not gambles:
+        return False
+    flats = [g.flat() for g in gambles]
+    return solve(LpProblem.cone(flats, EQ, f.flat())).status == OPTIMAL

@@ -15,6 +15,7 @@ from desir.cones import (
     _residual_sup,
     avoids_partial_loss,
     build_from_conditional_family,
+    open_superset_witness,
 )
 from desir.credal import CredalSet
 from desir.errors import ModelError
@@ -27,6 +28,8 @@ from oracles import (
     augmented_open_lp,
     assessment_lower,
     family_contains_bruteforce,
+    open_superset_mix,
+    positive_mix,
 )
 
 COIN = Space(("h", "t"), ("x",))
@@ -368,6 +371,45 @@ def test_open_superset_strict(coin_r1):
     assert ok and p.mass == (F(1, 2), F(1, 2))
 
 
+def _rand_gamble_list(rng):
+    """0-4 gambles of any sign pattern on a space of at most 3 x 3 cells,
+    sometimes with the zero gamble among them."""
+    space = rand_space(rng, worst=False)
+    gambles = [
+        rand_gamble(rng, space, lo=-3, hi=3, max_den=3)
+        for _ in range(rng.randint(0, 4))
+    ]
+    if rng.random() < 0.1:
+        gambles.insert(rng.randint(0, len(gambles)), Gamble.zero(space))
+    return space, gambles
+
+
+def test_partial_loss_dichotomy_matches_oracle(rng):
+    # Ville's alternative on arbitrary gambles: the partial-loss LP's
+    # Farkas vector is a prevision positive on every gamble exactly when
+    # no convex combination is <= 0.  The max-margin mixture LP agrees.
+    lists = [(COIN, [])] + [_rand_gamble_list(rng) for _ in range(600)]
+    found = lost = with_zero = 0
+    for space, gambles in lists:
+        avoids, weights = avoids_partial_loss(space, gambles)
+        ok, p = open_superset_witness(space, gambles)
+        assert ok == avoids == open_superset_mix(space, gambles)[0]
+        if ok:
+            found += 1
+            assert all(x >= 0 for x in p.mass) and sum(p.mass) == 1
+            assert all(p(g) > 0 for g in gambles)
+        else:
+            lost += 1
+            assert p is None
+            assert all(w >= 0 for w in weights) and sum(weights) == 1
+            combo = Gamble.zero(space)
+            for w, g in zip(weights, gambles):
+                combo = combo + g.scale(w)
+            assert combo.is_nonpositive()
+        with_zero += any(g.is_zero() for g in gambles)
+    assert len(lists) > 500 and found >= 100 and lost >= 100 and with_zero
+
+
 # -- membership axioms on random sets ----------------------------------------
 
 
@@ -689,6 +731,54 @@ def test_augmented_queries_lp_counts(monkeypatch):
     credal_calls.clear()
     assert lps(lambda: d_hull.member(g2(-2, 1)).member) == (False, 1)
     assert feasibility_only() and credal_calls == []
+
+
+def test_partial_loss_lp_counts(monkeypatch, tri_dependent):
+    # The credal kinds find an open superset with no LP (the vertex
+    # centroid), an fg set with one partial-loss LP; a border list costs
+    # one coherence LP however many rays it has.
+    fg = DesirSet.from_generators(COIN, [g2(2, -1)])
+    uniform = tri_dependent.credal
+    strict = DesirSet.strict(uniform)
+    calls = []
+    real_solve = cones.solve
+
+    def counted(problem):
+        calls.append(problem)
+        return real_solve(problem)
+
+    monkeypatch.setattr(cones, "solve", counted)
+
+    def lps(query):
+        calls.clear()
+        answer = query()
+        return answer, len(calls)
+
+    assert lps(lambda: strict.has_open_superset()[0]) == (True, 0)
+    assert lps(lambda: tri_dependent.has_open_superset()[0]) == (False, 0)
+    assert lps(lambda: fg.has_open_superset()[0]) == (True, 1)
+    borders = tri_dependent.borders
+    assert lps(lambda: DesirSet.augmented(uniform, borders).kind) == (AUGMENTED, 1)
+    with pytest.raises(ModelError, match="to zero"):
+        lps(lambda: DesirSet.augmented(uniform, [g3(1, -1, 0), g3(-1, 1, 0)]))
+    assert len(calls) == 1
+
+
+def test_credal_open_superset_matches_mixture_lp(rng):
+    # The vertex centroid is positive on every border ray exactly when
+    # some mixture of the vertices is.
+    sets = found = 0
+    while sets < 100:
+        d = _rand_augmented(rng)
+        if d is None:
+            continue
+        sets += 1
+        for dset in (d, DesirSet.strict(d.credal)):
+            ok, p = dset.has_open_superset()
+            oracle = positive_mix(dset.space, dset.credal.vertices, dset.borders)
+            assert ok == (oracle is not None) == (p is not None)
+            found += ok and bool(dset.borders)
+    assert found
 
 
 # -- conditional families -----------------------------------------------------

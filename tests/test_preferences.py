@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from desir import cones, preferences
 from desir.cones import DesirSet
 from desir.credal import CredalSet, LinearPrevision
 from desir.errors import InputError, ModelError
@@ -19,6 +20,7 @@ from desir.preferences import (
 from desir.spaces import Gamble, HorseLottery, Space, project_pi
 
 from conftest import rand_lottery, rand_space
+from oracles import bare_cone_contains, combines_to_zero
 
 COIN = Space(("h", "t"), ("x",), "z")
 
@@ -114,6 +116,94 @@ def test_bare_holds_is_ray_membership():
     t = bare([[0, 0, 1]])
     assert not rel.holds(r, t)
     assert not rel.holds(r, r)
+
+
+def test_holds_rejects_lotteries_on_a_foreign_space():
+    # same shape, other labels: both flavours must refuse, as the oracle
+    # of a set does
+    other = Space(("v",), ("y0", "y1", "y2"), "z")
+    z_pair = (
+        HorseLottery.of(BARE3, [[1, 0, 0, 0]]),
+        HorseLottery.of(BARE3, [[0, 1, 0, 0]]),
+    )
+    cases = [
+        (ray_relation(), [[1, 0, 0]], [[0, 1, 0]], False),
+        (PreferenceRelation.of(BARE3, [z_pair]), [[1, 0, 0, 0]], [[0, 1, 0, 0]], True),
+    ]
+    for rel, p_rows, q_rows, worst in cases:
+        p = HorseLottery.of(other, p_rows, includes_worst=worst)
+        q = HorseLottery.of(other, q_rows, includes_worst=worst)
+        with pytest.raises(InputError, match="wrong space"):
+            rel.holds(p, q)
+
+
+def _rand_bare_queries(rng, rel):
+    """Random bare pairs, mixtures that hold by A2 and their reversals."""
+    space = rel.space
+    out = [
+        (rand_lottery(rng, space, False), rand_lottery(rng, space, False))
+        for _ in range(4)
+    ]
+    for _ in range(4):
+        if len(rel.pairs) < 2:
+            break
+        (p1, q1), (p2, q2) = rng.sample(rel.pairs, 2)
+        alpha = F(rng.randint(0, 4), 4)
+        p, q = p1.mix(alpha, p2), q1.mix(alpha, q2)
+        out += [(p, q), (q, p)]
+    for p, q in rel.pairs:
+        r = rand_lottery(rng, space, False)
+        alpha = F(rng.randint(1, 3), 3)
+        out.append((p.mix(alpha, r), q.mix(alpha, r)))
+    return out
+
+
+def test_bare_relations_match_cone_oracles(rng):
+    # A bare cone lives in the zero-row-sum space: consistency is avoiding
+    # partial loss and holds is natural-extension membership, against the
+    # convex and conic equality LPs.
+    queries = true_answers = consistent = 0
+    for _ in range(300):
+        space = rand_space(rng, max_states=2, max_prizes=3)
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            p, q = rand_lottery(rng, space, False), rand_lottery(rng, space, False)
+            if p != q:
+                pairs.append((p, q))
+        rel = PreferenceRelation.of(space, pairs, bare=True)
+        gens = rel.cone_generators()
+        assert rel.is_consistent() == (not combines_to_zero(gens))
+        if not rel.is_consistent():
+            continue
+        consistent += 1
+        for p, q in _rand_bare_queries(rng, rel):
+            diff = Gamble(space, p.difference(q))
+            answer = rel.holds(p, q)
+            assert answer == bare_cone_contains(gens, diff)
+            queries += 1
+            true_answers += answer
+    assert consistent >= 200 and queries >= 2000 and true_answers >= 200
+
+
+def test_bare_holds_solves_one_lp(monkeypatch):
+    # consistency is settled once with the cached cone; a query is then one
+    # membership LP in the cone layer, and preferences solves none itself
+    assert not hasattr(preferences, "solve")
+    rel = ray_relation()
+    assert rel.is_consistent()
+    calls = []
+    real_solve = cones.solve
+
+    def counted(problem):
+        calls.append(problem)
+        return real_solve(problem)
+
+    monkeypatch.setattr(cones, "solve", counted)
+    r = bare([[F(1, 2), 0, F(1, 2)]])
+    s = bare([[0, F(1, 2), F(1, 2)]])
+    assert rel.holds(r, s) and len(calls) == 1
+    calls.clear()
+    assert not rel.holds(s, r) and len(calls) == 1
 
 
 def test_dominates_examples():

@@ -119,6 +119,14 @@ def test_is_irrelevant_product_counterexample():
     assert not is_irrelevant_product(product, r_x)
 
 
+def test_is_irrelevant_product_rejects_a_foreign_marginal():
+    # the space check must not depend on the marginal having generators
+    foreign = Space(("_",), ("y0", "y1"), None)
+    d = irrelevant_product_set(DesirSet.vacuous(OF), DesirSet.vacuous(PF), SQ)
+    with pytest.raises(InputError, match="prize factor"):
+        is_irrelevant_product(d, DesirSet.vacuous(foreign))
+
+
 # -- independent natural extension ---------------------------------------------
 
 
