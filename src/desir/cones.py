@@ -135,9 +135,11 @@ class MembershipVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _losing_mix(gambles: Sequence[Gamble]) -> LpOutcome:
-    """The partial-loss LP over a nonempty list: lambda >= 0,
+def _losing_mix(space: Space, gambles: Sequence[Gamble]) -> LpOutcome:
+    """The partial-loss LP over a nonempty list on ``space``: lambda >= 0,
     sum lambda = 1, sum lambda_k g_k <= 0."""
+    if any(g.space != space for g in gambles):
+        raise InputError("gamble on the wrong space")
     flats = [g.flat() for g in gambles]
     return solve(LpProblem.cone(flats, LE, [0] * len(flats[0]), convex=True))
 
@@ -151,7 +153,7 @@ def avoids_partial_loss(
     """
     if not gambles:
         return True, None
-    out = _losing_mix(gambles)
+    out = _losing_mix(space, gambles)
     if out.status == OPTIMAL:
         return False, out.witness
     return True, None
@@ -174,7 +176,7 @@ def open_superset_witness(
     n = space.n_cells
     if not gambles:
         return True, LinearPrevision(space, (Fraction(1, n),) * n)
-    out = _losing_mix(gambles)
+    out = _losing_mix(space, gambles)
     if out.status == OPTIMAL:
         return False, None
     weights = [-y for y in out.farkas[:n]]

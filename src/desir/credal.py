@@ -28,9 +28,21 @@ Vertex enumeration is the desk-scale active-set sweep: every vertex of
 plus sum p = 1.  A choice of c constraint rows leaves c + 1 free cells
 (the chosen unit rows p_j = 0 pin the rest), so each candidate is a
 (c + 1)-square integer system, solved fraction-free (Bareiss) on the
-constraint rows scaled to integers, then filtered for feasibility.  The
-one bound, ENUMERATION_BUDGET, caps the candidate count C(n + k, n - 1)
-before any solve and raises ResourceLimitError past it.
+constraint rows scaled to integers, then filtered for feasibility.  A
+candidate whose chosen row has one strict sign on every free cell is
+skipped before its solve.  The one bound, ENUMERATION_BUDGET, caps the
+candidate count C(n + k, n - 1) before any solve and raises
+ResourceLimitError past it.
+
+Every enumerated set is checked against its H-form on the support
+directions (plus or minus each cell and each constraint row), with LP
+duality and no LP: min over the H-form set of P(h) is the largest t with
+h - t - sum y_k g_k >= 0 on every cell for some y >= 0, so a dual y
+proves that the vertex minimum t is the H-form minimum.  y = 0 serves
+when h >= t everywhere; otherwise complementary slackness gives y at a
+nondegenerate minimising vertex from one small integer solve over its
+support and tight rows.  Only a direction whose minimisers are all
+degenerate falls back to the H-form LP.
 """
 
 from __future__ import annotations
@@ -133,12 +145,23 @@ def enumerate_vertices(
         )
     # positive integer rescaling keeps every sign and every zero set
     rows = [_integer_row(g.flat())[0] for g in constraints]
+    # each row's cells of either strict sign, as bit masks
+    pos = [sum(1 << j for j, x in enumerate(r) if x > 0) for r in rows]
+    neg = [sum(1 << j for j, x in enumerate(r) if x < 0) for r in rows]
     # c constraint rows and n - 1 - c unit rows p_j = 0 leave the c rows and
     # sum p = 1 over c + 1 free cells; the determinant is +- the full one's
     seen = set()
     for c in range(min(k, n - 1) + 1):
-        for chosen in itertools.combinations(rows, c):
+        for picked in itertools.combinations(range(k), c):
+            chosen = [rows[i] for i in picked]
+            masks = [m for i in picked for m in (pos[i], neg[i])]
             for free in itertools.combinations(range(n), c + 1):
+                fmask = sum(1 << j for j in free)
+                # a chosen row of one strict sign on every free cell vanishes
+                # at no p >= 0 with sum p = 1 there: the solve could only
+                # give a point the sign test rejects
+                if any(m & fmask == fmask for m in masks):
+                    continue
                 system = [[1] * (c + 2)] + [[r[j] for j in free] + [0] for r in chosen]
                 sol = _bareiss_solve(system)
                 if sol is None:
@@ -153,10 +176,13 @@ def enumerate_vertices(
                 scale = math.gcd(*y)
                 seen.add(tuple((j, v // scale) for j, v in zip(free, y) if v))
     points = []
+    zero = Fraction(0)  # one object for every zero mass
     for support in seen:
         y = dict(support)
         total = sum(y.values())
-        points.append(tuple([Fraction(y.get(j, 0), total) for j in range(n)]))
+        points.append(
+            tuple([Fraction(y[j], total) if j in y else zero for j in range(n)])
+        )
     return tuple(LinearPrevision(space, m) for m in sorted(points))
 
 
@@ -280,33 +306,72 @@ class CredalSet:
     def _check_double_inclusion(self):
         """Necessary-condition self-check of the enumeration, not a proof:
         every vertex satisfies every constraint, and on each canonical
-        direction (coordinates and constraint rows) the H-form LP optimum
-        equals the vertex extreme, in both senses.  Completeness comes from
-        the sweep itself: every vertex is the unique solution of n
-        independent active rows, and the sweep tries every such choice."""
+        direction h (plus or minus a unit cell or a constraint row) the
+        H-form minimum equals the vertex minimum t.  Completeness comes
+        from the sweep itself: every vertex is the unique solution of n
+        independent active rows, and the sweep tries every such choice.
+
+        The vertices are feasible, so the H-form minimum is at most t.  A
+        dual y >= 0 with h - t - sum y_k g_k >= 0 on every cell proves it
+        at least t (weak duality), with no LP.  y = 0 serves when h >= t
+        on every cell.  Otherwise complementary slackness fixes y at a
+        nondegenerate minimiser v, with support S and tight rows T,
+        |T| = |S| - 1: y_k = 0 off T, and h - t - sum y_k g_k vanishes on
+        S, one |S|-square integer system in (y_T, t).  Its solution is
+        unique, so if it fails the sign test v is not optimal over the
+        H-form set and a vertex is missing.  Only a direction whose
+        minimisers are all degenerate (or singular) solves the H-form LP.
+        """
         assert self.constraints is not None
         n = self.space.n_cells
         rows, den = self._rows, self._den
-        # (direction, vertex values as integer numerators, their denominator)
-        directions = [
-            ([Fraction(int(i == j)) for i in range(n)], [r[j] for r in rows], den)
-            for j in range(n)
-        ]
-        for g in self.constraints:
-            flat = g.flat()
-            nums, d = _integer_row(flat)
-            vals = [sum(map(operator.mul, r, nums)) for r in rows]
-            if min(vals) < 0:
-                raise InternalError("enumerated vertex violates a constraint")
-            directions.append((list(flat), vals, den * d))
+        gs = [_integer_row(g.flat())[0] for g in self.constraints]
+        # every vertex's P(g_k), numerators over den times g_k's scale
+        cvals = [[sum(map(operator.mul, r, g)) for r in rows] for g in gs]
+        if any(min(vals) < 0 for vals in cvals):
+            raise InternalError("enumerated vertex violates a constraint")
+
+        def certified(h, vals) -> bool:
+            lo = min(vals)  # t = lo / den
+            if all(x * den >= lo for x in h):
+                return True
+            for i in [i for i, v in enumerate(vals) if v == lo]:
+                support = [j for j, x in enumerate(rows[i]) if x]
+                tight = [k for k, cv in enumerate(cvals) if not cv[i]]
+                if len(tight) != len(support) - 1:
+                    continue  # degenerate, or no vertex at all
+                sol = _bareiss_solve(
+                    [[gs[k][j] for k in tight] + [1, h[j]] for j in support]
+                )
+                if sol is None:
+                    continue
+                y, det = sol
+                if det < 0:
+                    y, det = [-x for x in y], -det
+                *ys, t = y  # the multipliers y_T and t, over det
+                if min(ys, default=0) >= 0 and all(
+                    det * h[j] - t >= sum(a * gs[k][j] for a, k in zip(ys, tight))
+                    for j in range(n)
+                ):
+                    return True
+                raise InternalError("H-form and V-form disagree on a support direction")
+            return False
+
+        # (direction as integers, vertex values as numerators over den)
+        units = (
+            ([int(i == j) for i in range(n)], [r[j] for r in rows]) for j in range(n)
+        )
         cons = [(list(g.flat()), GE, Fraction(0)) for g in self.constraints]
         cons.append(([Fraction(1)] * n, EQ, Fraction(1)))
-        for d, vals, scale in directions:
-            for sense, ext in (("max", max(vals)), ("min", min(vals))):
-                out = solve(LpProblem.build(d, sense, cons))
+        for h, vals in itertools.chain(units, zip(gs, cvals)):
+            # the maximum of h is minus the minimum of -h
+            for d, dvals in ((h, vals), ([-x for x in h], [-v for v in vals])):
+                if certified(d, dvals):
+                    continue
+                out = solve(LpProblem.build(d, "min", cons))
                 if out.status != OPTIMAL:
                     raise InternalError("H-polytope optimisation failed")
-                if Fraction(ext, scale) != out.optimum:
+                if Fraction(min(dvals), den) != out.optimum:
                     raise InternalError(
                         "H-form and V-form disagree on a support direction"
                     )

@@ -5,15 +5,17 @@ construction and no LP; the family oracle enumerates block subsets with
 one LP each; the vertex oracle solves every full n x n active-set system
 in Fractions; the extreme-point oracle drops, one at a time, every point
 in the hull of all the others, with one LP over all of them each; the
-augmented-set oracles solve the open part of posi(strict + border rays)
-as LPs with one row per credal vertex, border multiples free; the envelope
-oracles scan the vertices with one Fraction multiply-add per cell; the
-strong-product oracle checks domination both ways with one hull LP per
-vertex; the reference simplex keeps every tableau row in lowest terms
-with one gcd reduction per row and pivot; the dichotomy oracles decide
-the open side of partial loss by a max-margin LP over mixtures of given
-points, and a bare preference cone by convex and conic equality LPs.
-Each is an independent route to the same exact answer.
+double-inclusion oracle solves the H-form LP in every canonical direction
+and both senses; the augmented-set oracles solve the open part of
+posi(strict + border rays) as LPs with one row per credal vertex, border
+multiples free; the envelope oracles scan the vertices with one Fraction
+multiply-add per cell; the strong-product oracle checks domination both
+ways with one hull LP per vertex; the reference simplex keeps every
+tableau row in lowest terms with one gcd reduction per row and pivot; the
+dichotomy oracles decide the open side of partial loss by a max-margin LP
+over mixtures of given points, and a bare preference cone by convex and
+conic equality LPs.  Each is an independent route to the same exact
+answer.
 """
 
 import itertools
@@ -241,6 +243,32 @@ def extreme_points_bruteforce(space, masses):
         else:
             i += 1
     return tuple(p.mass for p in keep)
+
+
+def check_double_inclusion_lp(credal):
+    """The enumeration self-check by LPs: every vertex satisfies every
+    constraint, and on each canonical direction (coordinates and
+    constraint rows) the H-form LP optimum equals the vertex extreme, in
+    both senses.  Raises InternalError otherwise; 2(n + k) LPs."""
+    n = credal.space.n_cells
+    directions = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    for g in credal.constraints:
+        if any(_vertex_value(v, g) < 0 for v in credal.vertices):
+            raise InternalError("enumerated vertex violates a constraint")
+        directions.append(list(g.flat()))
+    cons = [(list(g.flat()), GE, Fraction(0)) for g in credal.constraints]
+    cons.append(([Fraction(1)] * n, EQ, Fraction(1)))
+    for d in directions:
+        vals = [
+            sum((x * c for x, c in zip(v.mass, d)), Fraction(0))
+            for v in credal.vertices
+        ]
+        for sense, ext in (("max", max(vals)), ("min", min(vals))):
+            out = solve(LpProblem.build(d, sense, cons))
+            if out.status != OPTIMAL:
+                raise InternalError("H-polytope optimisation failed")
+            if ext != out.optimum:
+                raise InternalError("H-form and V-form disagree on a support direction")
 
 
 def _vertex_value(vertex, f):

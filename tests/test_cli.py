@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import desir.credal
 from desir.cli import main, run_command, run_script
 from desir.document import parse_document
-from desir.errors import DesirError, InternalError
+from desir.errors import DesirError, InternalError, ResourceLimitError
 
 DATA = Path(__file__).parent / "data"
 BENCH_DATA = Path(__file__).parent.parent / "bench" / "data"
@@ -168,6 +169,48 @@ def test_committed_vertex_ladder_answers_byte_identical(rung):
     )
     kinds = {cmd.split()[0] for cmd, _ in wanted}
     assert {"vertices", "marginal", "product", "statecheck"} <= kinds
+
+
+def _fg_scale_text():
+    """20 generators on a 4x3 space, each with a positive uniform
+    expectation, so that together they avoid partial loss; m = h1 + h2
+    and n = -h1, a member and a non-member."""
+    lines = ["space", "omega s1 s2 s3 s4", "prizes x1 x2 x3", "end"]
+    tables = {}
+    for k in range(20):
+        cells = [(7 * k + 5 * c) % 11 - 5 for c in range(12)]
+        cells[k % 12] += max(0, 1 - sum(cells))
+        tables[f"h{k + 1}"] = cells
+    tables["m"] = [a + b for a, b in zip(tables["h1"], tables["h2"])]
+    tables["n"] = [-a for a in tables["h1"]]
+    for name, cells in tables.items():
+        lines += [f"gamble {name}"]
+        lines += [" ".join(map(str, cells[i : i + 3])) for i in range(0, 12, 3)]
+        lines += ["end"]
+    lines.append("desirset R fg " + " ".join(f"h{k + 1}" for k in range(20)))
+    return "\n".join(lines) + "\n"
+
+
+def test_fg_scale_answers_without_its_credal_projection(monkeypatch):
+    # the dual polytope of 20 generators on 12 cells has C(32, 11) candidate
+    # active sets: member and lowprev must keep answering by cone LP, and
+    # the credal projection must refuse before any LP
+    doc = parse_document(_fg_scale_text())
+    assert one(doc, "member R m") == ["true"]
+    out = one(doc, "member R m certificate")
+    assert out[0] == "true" and out[1].startswith("certificate combination")
+    out = one(doc, "member R n certificate")
+    assert out[0] == "false" and out[1].startswith("certificate separating")
+    # the natural extension: min of P(f) over {P : P(h_k) >= 0 for each k}
+    assert one(doc, "lowprev R h1") == ["0/1"]
+    assert one(doc, "lowprev R n") == ["-53/44"]
+
+    def no_lp(problem):
+        raise AssertionError("an LP ran before the budget check")
+
+    monkeypatch.setattr(desir.credal, "solve", no_lp)
+    with pytest.raises(ResourceLimitError, match="129024480 active sets"):
+        doc.desirsets["R"].credal_projection()
 
 
 def _replay_committed(doc_path, keep):

@@ -18,7 +18,7 @@ from desir.cones import (
     open_superset_witness,
 )
 from desir.credal import CredalSet
-from desir.errors import ModelError
+from desir.errors import InputError, ModelError
 from desir.spaces import EventSet, Gamble, Space
 
 from conftest import rand_gamble, rand_mass_row, rand_space
@@ -67,6 +67,17 @@ def test_apl_opposite_rays():
 
 def test_apl_empty():
     assert avoids_partial_loss(COIN, []) == (True, None)
+
+
+def test_partial_loss_rejects_a_gamble_on_another_space():
+    other = Space(("h", "u"), ("x",))  # same shape, another space
+    for gambles in (
+        [Gamble.of(other, [[1], [-1]])],  # avoids loss
+        [g2(1, -1), Gamble.of(other, [[-1], [1]])],  # loses on either space
+    ):
+        for call in (avoids_partial_loss, open_superset_witness):
+            with pytest.raises(InputError, match="gamble on the wrong space"):
+                call(COIN, gambles)
 
 
 def test_incoherent_generators_rejected():

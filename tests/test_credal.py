@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +11,14 @@ from desir.credal import (
     enumerate_vertices,
     omega_factor_space,
 )
-from desir.errors import InputError, ModelError, ResourceLimitError
+from desir.document import parse_document
+from desir.errors import InputError, InternalError, ModelError, ResourceLimitError
 from desir.products import strong_product
 from desir.spaces import EventSet, Gamble, Space
 
 from conftest import rand_gamble, rand_mass_row, rand_space
 from oracles import (
+    check_double_inclusion_lp,
     conditional_natural_extension_scan,
     enumerate_vertices_bruteforce,
     extreme_points_bruteforce,
@@ -28,6 +31,7 @@ from oracles import (
 
 COIN = Space(("h", "t"), ("x",))
 TRI = Space(("a", "b", "c"), ("x",))
+LADDER = Path(__file__).parent.parent / "bench" / "data" / "vertex-ladder"
 
 
 def g(space, rows):
@@ -110,6 +114,123 @@ def test_enumeration_matches_full_system_bruteforce(rng):
     cons = [Gamble.zero(over)] * 6
     for enumerator in (_kernel_masses, enumerate_vertices_bruteforce):
         assert _masses_or_limit(enumerator, over, cons) == "over budget"
+
+
+def _self_check_case(rng):
+    """An H-form set on at most 3x3 cells with at most four constraints:
+    rows over a small alphabet (so several meet at one vertex), random
+    rows, zero rows and duplicated rows.  None when the set is empty."""
+    space = rand_space(rng, worst=False)
+    alphabet = (F(0), F(1), F(-1), F(2), F(-1, 2))
+    cons = []
+    for _ in range(rng.randint(0, 4)):
+        pick = rng.random()
+        if pick < 0.1:
+            cons.append(Gamble.zero(space))
+        elif pick < 0.25 and cons:
+            cons.append(rng.choice(cons))
+        elif pick < 0.65:
+            rows = [[rng.choice(alphabet) for _ in space.prizes] for _ in space.omega]
+            cons.append(Gamble.of(space, rows))
+        else:
+            cons.append(rand_gamble(rng, space))
+    try:
+        return CredalSet.from_constraints(space, cons)
+    except ModelError:
+        return None
+
+
+def _is_degenerate(cs, v):
+    """More tight constraint rows than the support size less one."""
+    tight = sum(v(g) == 0 for g in cs.constraints)
+    return tight > sum(x > 0 for x in v.mass) - 1
+
+
+def _mutated(rng, cs, t):
+    """The vertex list with one vertex dropped, one vertex replaced by the
+    midpoint of two others, or a feasible non-vertex point (a mixture of
+    two or three vertices) added, by t; None when too few vertices."""
+    vs = [v.mass for v in cs.vertices]
+    kind = t % 3
+    if len(vs) < (3 if kind == 1 else 2):
+        return None
+    if kind == 0:
+        vs.pop(rng.randrange(len(vs)))
+    elif kind == 1:
+        a, b, c = rng.sample(range(len(vs)), 3)
+        vs[a] = tuple((x + y) / 2 for x, y in zip(vs[b], vs[c]))
+    else:
+        picked = rng.sample(vs, rng.randint(2, min(3, len(vs))))
+        weights = [rng.randint(1, 3) for _ in picked]
+        vs.append(
+            tuple(
+                sum((w * p[j] for w, p in zip(weights, picked)), F(0)) / sum(weights)
+                for j in range(len(vs[0]))
+            )
+        )
+    points = tuple(LinearPrevision(cs.space, m) for m in sorted(set(vs)))
+    return CredalSet(cs.space, points, cs.constraints)
+
+
+def _raises(check, cs):
+    try:
+        check(cs)
+    except InternalError:
+        return True
+    return False
+
+
+@pytest.fixture
+def credal_lps(monkeypatch):
+    """Every LP that ``desir.credal`` solves from here on, in order."""
+    lps = []
+    real_solve = desir.credal.solve
+
+    def counting_solve(problem):
+        lps.append(problem)
+        return real_solve(problem)
+
+    monkeypatch.setattr(desir.credal, "solve", counting_solve)
+    return lps
+
+
+def test_self_check_duals_agree_with_the_lp_oracle(rng, credal_lps):
+    """The dual self-check passes on every enumerated list, and on mutated
+    lists it raises exactly when the 2(n + k)-LP check does."""
+    lps = credal_lps
+    kinds = ("sets", "degenerate", "zero row", "duplicate", "raised", "fallback")
+    counts = dict.fromkeys(kinds + ("raised by a dual",), 0)
+    for t in range(300):
+        cs = _self_check_case(rng)
+        if cs is None:
+            continue
+        counts["sets"] += 1
+        counts["degenerate"] += any(_is_degenerate(cs, v) for v in cs.vertices)
+        counts["zero row"] += any(g.is_zero() for g in cs.constraints)
+        counts["duplicate"] += len(set(cs.constraints)) < len(cs.constraints)
+        check_double_inclusion_lp(cs)
+        lists = [cs]
+        mutated = _mutated(rng, cs, t)
+        if mutated is not None:
+            lists.append(mutated)
+        for case in lists:
+            before = len(lps)
+            raised = _raises(CredalSet._check_double_inclusion, case)
+            assert raised == _raises(check_double_inclusion_lp, case)
+            assert not raised or case is not cs
+            counts["raised"] += raised
+            counts["fallback"] += len(lps) > before
+            counts["raised by a dual"] += raised and len(lps) == before
+    assert counts["sets"] >= 200 and counts["raised"] >= 50, counts
+    assert min(counts.values()) >= 20, counts
+
+
+def test_vertex_ladder_parse_solves_only_degenerate_fallback_lps(credal_lps):
+    # the 2(n + k)-LP check solved 120 LPs here; with vertex duals only the
+    # directions whose every minimiser is degenerate solve one
+    for path in sorted(LADDER.glob("*.doc.txt")):
+        parse_document(path.read_text())
+    assert len(credal_lps) == 2
 
 
 def test_from_vertices_prunes_interior_points():
