@@ -31,8 +31,9 @@ The conditional computation is ``sup { mu : B(f - mu) in D }`` for an
 arbitrary nonempty cell event B.  The member set is the union of the open
 part and the closed part (a nonnegative residual after subtracting ray
 multiples), each with a down-closed mu-set, so the supremum is the larger
-of the two: the generalized Bayes rule for the open part and one residual
-LP over the rays for the closed part.
+of the two: the generalized Bayes rule for the open part and, for the
+closed part, min_B f plus one residual cone LP with no free variable: the
+largest nu >= 0 with sum lambda_k r_k + nu 1_B <= B(f - min_B f).
 """
 
 from __future__ import annotations
@@ -198,22 +199,17 @@ def _residual_sup(
     rays: Sequence[Gamble], f: Gamble, event: EventSet
 ) -> Optional[Rat]:
     """sup { mu : B(f - mu) - sum(lambda r) >= 0, lambda >= 0 }, or None
-    when unbounded.  Always feasible (lambda = 0, mu = min_B f)."""
+    when unbounded.  mu = m = min_B f with lambda = 0 is feasible and the
+    feasible mu are down-closed, so the supremum is m plus the cone LP
+    max { nu >= 0 : sum lambda_k r_k + nu 1_B <= B(f - m), lambda >= 0 }."""
+    low = f.min_over(event)
     if not rays:
-        return f.min_over(event)
-    k = len(rays)
-    flats = [r.flat() for r in rays]
-    bflat = f.restricted_to(event).flat()
-    iflat = event.indicator().flat()
-    cons = [
-        ([fl[c] for fl in flats] + [iflat[c]], LE, bflat[c])
-        for c in range(len(bflat))
-    ]
-    bounds = [(Fraction(0), None)] * k + [(None, None)]
-    out = solve(
-        LpProblem.build([Fraction(0)] * k + [Fraction(1)], "max", cons, bounds)
-    )
-    return out.optimum if out.status == OPTIMAL else None
+        return low
+    cols = [r.flat() for r in rays] + [event.indicator().flat()]
+    target = [(x - low) * b for x, b in zip(f.flat(), cols[-1])]
+    cons = [([col[c] for col in cols], LE, t) for c, t in enumerate(target)]
+    out = solve(LpProblem.build([Fraction(0)] * len(rays) + [Fraction(1)], "max", cons))
+    return low + out.optimum if out.status == OPTIMAL else None
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +359,10 @@ class DesirSet:
     def conditional_lower_prevision(self, f: Gamble, event: EventSet) -> Rat:
         """sup { mu : B(f - mu) in D } for a nonempty cell event B.
 
-        The closed part's supremum is the residual LP over the rays; a
-        credal kind also takes the open part's.  B(f - mu) is in the open
-        part iff its lower expectation is positive (see _certificate), so
-        that supremum is the generalized Bayes rule.
+        The closed part's supremum is min_B f plus the shifted residual LP
+        over the rays (_residual_sup); a credal kind also takes the open
+        part's.  B(f - mu) is in the open part iff its lower expectation is
+        positive (see _certificate), so that is the generalized Bayes rule.
         """
         self._check_space(f)
         if event.space != self.space:

@@ -55,7 +55,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalError, ModelError, ResourceLimitError
-from .lp import EQ, GE, OPTIMAL, LpProblem, Rat, rat, solve
+from .lp import EQ, GE, OPTIMAL, LpOutcome, LpProblem, Rat, rat, solve
 from .spaces import (
     EventSet,
     Gamble,
@@ -186,11 +186,9 @@ def enumerate_vertices(
     return tuple(LinearPrevision(space, m) for m in sorted(points))
 
 
-def _hull_contains(vertices: Sequence[tuple[Rat, ...]], point: tuple[Rat, ...]) -> bool:
-    if not vertices:
-        return False
-    out = solve(LpProblem.cone(vertices, EQ, point, convex=True))
-    return out.status == OPTIMAL
+def _hull_lp(points: Sequence[tuple[Rat, ...]], mass: tuple[Rat, ...]) -> LpOutcome:
+    """The hull LP: is ``mass`` a convex combination of ``points``?"""
+    return solve(LpProblem.cone(points, EQ, mass, convex=True))
 
 
 @dataclass(frozen=True)
@@ -274,8 +272,7 @@ class CredalSet:
         for i, p in enumerate(pts):
             while not is_kept[i]:
                 if kept:
-                    hull = [pts[k].mass for k in kept]
-                    out = solve(LpProblem.cone(hull, EQ, p.mass, convex=True))
+                    out = _hull_lp([pts[k].mass for k in kept], p.mass)
                     if out.status == OPTIMAL:
                         break
                     # every row has a nonnegative right-hand side, so the
@@ -321,11 +318,16 @@ class CredalSet:
         unique, so if it fails the sign test v is not optimal over the
         H-form set and a vertex is missing.  Only a direction whose
         minimisers are all degenerate (or singular) solves the H-form LP.
+        Zero rows and positive multiples of an earlier row join no T: their
+        multipliers fold into the earlier row's (-g stays: g, -g is an
+        equality).
         """
         assert self.constraints is not None
         n = self.space.n_cells
         rows, den = self._rows, self._den
         gs = [_integer_row(g.flat())[0] for g in self.constraints]
+        keys = [tuple([x // d for x in g]) if (d := math.gcd(*g)) else () for g in gs]
+        distinct = [k for k, key in enumerate(keys) if key and key not in keys[:k]]
         # every vertex's P(g_k), numerators over den times g_k's scale
         cvals = [[sum(map(operator.mul, r, g)) for r in rows] for g in gs]
         if any(min(vals) < 0 for vals in cvals):
@@ -337,7 +339,7 @@ class CredalSet:
                 return True
             for i in [i for i, v in enumerate(vals) if v == lo]:
                 support = [j for j, x in enumerate(rows[i]) if x]
-                tight = [k for k, cv in enumerate(cvals) if not cv[i]]
+                tight = [k for k in distinct if not cvals[k][i]]
                 if len(tight) != len(support) - 1:
                     continue  # degenerate, or no vertex at all
                 sol = _bareiss_solve(
@@ -383,7 +385,7 @@ class CredalSet:
             raise InputError("prevision on the wrong space")
         if self.constraints is not None:
             return all(p(g) >= 0 for g in self.constraints)
-        return _hull_contains([v.mass for v in self.vertices], p.mass)
+        return _hull_lp([v.mass for v in self.vertices], p.mass).status == OPTIMAL
 
     def _values(self, f: Gamble) -> tuple[list[int], int]:
         """Every vertex's P(f) as an integer numerator, and their common

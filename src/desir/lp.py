@@ -353,7 +353,7 @@ def solve(problem: LpProblem) -> LpOutcome:
         # Phase-1 duality: y_i = 1 - reduced cost of the original artificial
         # i, which is den_i times that of the scaled one.  Validity
         # (y.A <= 0, y.b > 0) holds by construction and is replayed by
-        # verify_farkas in the certificate layer and the test suite.
+        # verify_farkas in the test suite.
         z_den = dens[m] * lcm_den
         y = [1 - Fraction(den * v, z_den) for den, v in zip(row_dens, tab[m][art0:])]
         return LpOutcome(status=INFEASIBLE, farkas=tuple(y))

@@ -3,12 +3,36 @@ from fractions import Fraction
 
 import pytest
 
+import desir.cones
+import desir.credal
 from desir.spaces import Gamble, HorseLottery, Space
 
 
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+@pytest.fixture
+def solved_lps(monkeypatch):
+    """Every LP that ``desir.cones`` or ``desir.credal`` solves from here
+    on, in order, as (module, problem) pairs; module is "cones" or
+    "credal"."""
+    log = []
+    for module in (desir.cones, desir.credal):
+        name = module.__name__.rpartition(".")[2]
+
+        def recording(problem, name=name, real=module.solve):
+            log.append((name, problem))
+            return real(problem)
+
+        monkeypatch.setattr(module, "solve", recording)
+    return log
+
+
+def lps_in(solved, module) -> list:
+    """The problems of a ``solved_lps`` log that ``module`` solved."""
+    return [problem for name, problem in solved if name == module]
 
 
 def rand_rat(rng, lo=-4, hi=4, max_den=4) -> Fraction:

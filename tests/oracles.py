@@ -8,14 +8,15 @@ in the hull of all the others, with one LP over all of them each; the
 double-inclusion oracle solves the H-form LP in every canonical direction
 and both senses; the augmented-set oracles solve the open part of
 posi(strict + border rays) as LPs with one row per credal vertex, border
-multiples free; the envelope oracles scan the vertices with one Fraction
-multiply-add per cell; the strong-product oracle checks domination both
-ways with one hull LP per vertex; the reference simplex keeps every
-tableau row in lowest terms with one gcd reduction per row and pivot; the
-dichotomy oracles decide the open side of partial loss by a max-margin LP
-over mixtures of given points, and a bare preference cone by convex and
-conic equality LPs.  Each is an independent route to the same exact
-answer.
+multiples free; the residual oracle solves the closed part's conditional
+supremum as one LP with mu a free variable; the envelope oracles scan
+the vertices with one Fraction multiply-add per cell; the strong-product
+oracle checks domination both ways with one hull LP per vertex; the
+reference simplex keeps every tableau row in lowest terms with one gcd
+reduction per row and pivot; the dichotomy oracles decide the open side
+of partial loss by a max-margin LP over mixtures of given points, and a
+bare preference cone by convex and conic equality LPs.  Each is an
+independent route to the same exact answer.
 """
 
 import itertools
@@ -458,6 +459,25 @@ def augmented_contains_lp(dset, f):
     cons = [([bf[c] for bf in bflats], LE, fflat[c]) for c in range(len(fflat))]
     out = solve(LpProblem.build([Fraction(0)] * len(bflats), "max", cons))
     return out.status == OPTIMAL
+
+
+def residual_sup_free_lp(rays, f, event):
+    """sup { mu : B(f - mu) - sum(lambda r) >= 0, lambda >= 0 } with mu a
+    free variable, or None when unbounded.  No rays still solves an LP."""
+    k = len(rays)
+    flats = [r.flat() for r in rays]
+    bflat = f.restricted_to(event).flat()
+    iflat = event.indicator().flat()
+    cons = [
+        ([fl[c] for fl in flats] + [iflat[c]], LE, bflat[c])
+        for c in range(len(bflat))
+    ]
+    bounds = [(Fraction(0), None)] * k + [(None, None)]
+    out = solve(
+        LpProblem.build([Fraction(0)] * k + [Fraction(1)], "max", cons, bounds)
+    )
+    assert out.status != INFEASIBLE
+    return out.optimum if out.status == OPTIMAL else None
 
 
 def augmented_open_conditional_sup(dset, f, event):

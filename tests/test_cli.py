@@ -11,6 +11,8 @@ from desir.cli import main, run_command, run_script
 from desir.document import parse_document
 from desir.errors import DesirError, InternalError, ResourceLimitError
 
+from conftest import lps_in
+
 DATA = Path(__file__).parent / "data"
 BENCH_DATA = Path(__file__).parent.parent / "bench" / "data"
 COIN_TEXT = (DATA / "coin.txt").read_text()
@@ -154,6 +156,29 @@ def test_committed_augmented_answers_byte_identical():
     doc_path = BENCH_DATA / "augmented-cond" / "augmented.doc.txt"
     wanted = _replay_committed(doc_path, keep=lambda cmd: True)
     assert {cmd.split()[0] for cmd, _ in wanted} == {"member", "lowprev", "condlowprev"}
+
+
+@pytest.mark.parametrize(
+    "doc_path",
+    [
+        BENCH_DATA / "fg-strict-batch" / "batch.doc.txt",
+        BENCH_DATA / "augmented-cond" / "augmented.doc.txt",
+    ],
+    ids=["fg-strict-batch", "augmented-cond"],
+)
+def test_committed_previsions_solve_plain_cone_lps(doc_path, solved_lps):
+    # every closed-part supremum is a cone LP over the rays and the event
+    # indicator: every LP the cone layer solves here (the parse's
+    # partial-loss LP, then the queries) has no free variable and no
+    # negative right-hand side
+    _replay_committed(
+        doc_path, lambda cmd: cmd.split()[0] in ("lowprev", "upprev", "condlowprev")
+    )
+    cone_lps = lps_in(solved_lps, "cones")
+    assert cone_lps
+    for problem in cone_lps:
+        assert set(problem.bounds) == {(0, None)}
+        assert all(row.rhs >= 0 for row in problem.constraints)
 
 
 @pytest.mark.parametrize("rung", ["rung1-2x3-3", "rung2-3x3-3", "rung3-2x4-4"])

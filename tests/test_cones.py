@@ -2,8 +2,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from desir import cones
-from desir import credal as credal_module
 from desir.cones import (
     AUGMENTED,
     ConditionalAssessment,
@@ -21,7 +19,7 @@ from desir.credal import CredalSet
 from desir.errors import InputError, ModelError
 from desir.spaces import EventSet, Gamble, Space
 
-from conftest import rand_gamble, rand_mass_row, rand_space
+from conftest import lps_in, rand_gamble, rand_mass_row, rand_space
 from oracles import (
     augmented_contains_lp,
     augmented_open_conditional_sup,
@@ -30,6 +28,7 @@ from oracles import (
     family_contains_bruteforce,
     open_superset_mix,
     positive_mix,
+    residual_sup_free_lp,
 )
 
 COIN = Space(("h", "t"), ("x",))
@@ -691,7 +690,67 @@ def test_augmented_open_part_matches_vertex_row_lps(rng):
     assert queries >= 1000 and open_members and zero_prob and positive_prob
 
 
-def test_augmented_queries_lp_counts(monkeypatch):
+def _rand_fg(rng):
+    """A random fg set on at most 3 x 3 cells, or None on a draw whose
+    generators incur partial loss (or include the zero gamble)."""
+    space, gambles = _rand_gamble_list(rng)
+    try:
+        return DesirSet.from_generators(space, gambles)
+    except ModelError:
+        return None
+
+
+def test_residual_sup_matches_free_variable_lp(rng):
+    # The closed part's conditional supremum shifts mu by min_B f, so its
+    # LP needs no free variable.  The LP with mu free agrees on every
+    # (rays, gamble, event) triple: fg, strict and augmented sets, and raw
+    # ray lists, some of which incur partial loss and leave both LPs
+    # unbounded.
+    kinds = ("fg", "strict", "augmented", "raw")
+    counts = dict.fromkeys(kinds, 0)
+    cover = dict.fromkeys(
+        (
+            "zero lower probability",
+            "positive lower probability",
+            "single cell",
+            "constant on event",
+            "unbounded",
+        ),
+        0,
+    )
+    while min(counts[k] for k in kinds[:3]) < 100 or counts["raw"] < 60:
+        aug = _rand_augmented(rng)
+        sets = [_rand_fg(rng)]
+        if aug is not None:
+            sets += [aug, DesirSet.strict(aug.credal)]
+        cases = [(d.kind, d.space, d.rays, d) for d in sets if d is not None]
+        space, raw = _rand_gamble_list(rng)
+        cases.append(("raw", space, [g for g in raw if not g.is_zero()], None))
+        for kind, space, rays, dset in cases:
+            for constant in (False, True):
+                if rng.random() < 0.3:
+                    event = EventSet(space, (rng.choice(space.cells()),))
+                else:
+                    event = _rand_event(rng, space)
+                f = rand_gamble(rng, space, lo=-3, hi=3, max_den=3)
+                if constant:
+                    c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                    f = f - f.restricted_to(event) + event.indicator().scale(c)
+                got = _residual_sup(rays, f, event)
+                assert got == residual_sup_free_lp(rays, f, event)
+                counts[kind] += 1
+                cover["single cell"] += len(event.cells) == 1
+                cover["constant on event"] += constant
+                cover["unbounded"] += got is None
+                if dset is not None:
+                    assert got is not None
+                    low = dset.lower_prevision(event.indicator())
+                    cover["zero lower probability"] += low == 0
+                    cover["positive lower probability"] += low > 0
+    assert sum(counts.values()) >= 300 and min(cover.values()) >= 20, (counts, cover)
+
+
+def test_augmented_queries_lp_counts(solved_lps):
     # Only the closed part runs an LP: none for an open-part member, one
     # for a closed-part member, a non-member or a conditional prevision.
     # Membership LPs are feasibility problems (all-zero objective) for fg
@@ -706,28 +765,14 @@ def test_augmented_queries_lp_counts(monkeypatch):
     strict = DesirSet.strict(third)
     vacuous = DesirSet.vacuous(COIN)
     heads = EventSet.from_states(COIN, ["h"])
-    calls = []
-    credal_calls = []
-    real_solve = cones.solve
-
-    def counted(problem):
-        calls.append(problem)
-        return real_solve(problem)
-
-    def credal_counted(problem):
-        credal_calls.append(problem)
-        return real_solve(problem)
-
-    monkeypatch.setattr(cones, "solve", counted)
-    monkeypatch.setattr(credal_module, "solve", credal_counted)
 
     def lps(query):
-        calls.clear()
+        solved_lps.clear()
         answer = query()
-        return answer, len(calls)
+        return answer, len(lps_in(solved_lps, "cones"))
 
     def feasibility_only():
-        return all(x == 0 for problem in calls for x in problem.objective)
+        return all(x == 0 for p in lps_in(solved_lps, "cones") for x in p.objective)
 
     assert lps(lambda: d.member(g2(3, -1)).member) == (True, 0)
     assert lps(lambda: d.member(g2(2, -1)).member) == (True, 1)
@@ -739,31 +784,22 @@ def test_augmented_queries_lp_counts(monkeypatch):
     assert lps(lambda: d.conditional_lower_prevision(g2(-2, 1), heads)) == (-2, 1)
     assert lps(lambda: strict.conditional_lower_prevision(g2(3, 1), heads)) == (3, 0)
     assert lps(lambda: vacuous.lower_prevision(g2(3, 1))) == (1, 0)
-    credal_calls.clear()
     assert lps(lambda: d_hull.member(g2(-2, 1)).member) == (False, 1)
-    assert feasibility_only() and credal_calls == []
+    assert feasibility_only() and lps_in(solved_lps, "credal") == []
 
 
-def test_partial_loss_lp_counts(monkeypatch, tri_dependent):
+def test_partial_loss_lp_counts(solved_lps, tri_dependent):
     # The credal kinds find an open superset with no LP (the vertex
     # centroid), an fg set with one partial-loss LP; a border list costs
     # one coherence LP however many rays it has.
     fg = DesirSet.from_generators(COIN, [g2(2, -1)])
     uniform = tri_dependent.credal
     strict = DesirSet.strict(uniform)
-    calls = []
-    real_solve = cones.solve
-
-    def counted(problem):
-        calls.append(problem)
-        return real_solve(problem)
-
-    monkeypatch.setattr(cones, "solve", counted)
 
     def lps(query):
-        calls.clear()
+        solved_lps.clear()
         answer = query()
-        return answer, len(calls)
+        return answer, len(lps_in(solved_lps, "cones"))
 
     assert lps(lambda: strict.has_open_superset()[0]) == (True, 0)
     assert lps(lambda: tri_dependent.has_open_superset()[0]) == (False, 0)
@@ -772,7 +808,7 @@ def test_partial_loss_lp_counts(monkeypatch, tri_dependent):
     assert lps(lambda: DesirSet.augmented(uniform, borders).kind) == (AUGMENTED, 1)
     with pytest.raises(ModelError, match="to zero"):
         lps(lambda: DesirSet.augmented(uniform, [g3(1, -1, 0), g3(-1, 1, 0)]))
-    assert len(calls) == 1
+    assert len(lps_in(solved_lps, "cones")) == 1
 
 
 def test_credal_open_superset_matches_mixture_lp(rng):

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-import desir.credal
 from desir.credal import (
     CredalSet,
     LinearPrevision,
@@ -16,7 +15,7 @@ from desir.errors import InputError, InternalError, ModelError, ResourceLimitErr
 from desir.products import strong_product
 from desir.spaces import EventSet, Gamble, Space
 
-from conftest import rand_gamble, rand_mass_row, rand_space
+from conftest import lps_in, rand_gamble, rand_mass_row, rand_space
 from oracles import (
     check_double_inclusion_lp,
     conditional_natural_extension_scan,
@@ -180,24 +179,9 @@ def _raises(check, cs):
     return False
 
 
-@pytest.fixture
-def credal_lps(monkeypatch):
-    """Every LP that ``desir.credal`` solves from here on, in order."""
-    lps = []
-    real_solve = desir.credal.solve
-
-    def counting_solve(problem):
-        lps.append(problem)
-        return real_solve(problem)
-
-    monkeypatch.setattr(desir.credal, "solve", counting_solve)
-    return lps
-
-
-def test_self_check_duals_agree_with_the_lp_oracle(rng, credal_lps):
+def test_self_check_duals_agree_with_the_lp_oracle(rng, solved_lps):
     """The dual self-check passes on every enumerated list, and on mutated
     lists it raises exactly when the 2(n + k)-LP check does."""
-    lps = credal_lps
     kinds = ("sets", "degenerate", "zero row", "duplicate", "raised", "fallback")
     counts = dict.fromkeys(kinds + ("raised by a dual",), 0)
     for t in range(300):
@@ -214,23 +198,24 @@ def test_self_check_duals_agree_with_the_lp_oracle(rng, credal_lps):
         if mutated is not None:
             lists.append(mutated)
         for case in lists:
-            before = len(lps)
+            solved_lps.clear()
             raised = _raises(CredalSet._check_double_inclusion, case)
+            n_lps = len(lps_in(solved_lps, "credal"))
             assert raised == _raises(check_double_inclusion_lp, case)
             assert not raised or case is not cs
             counts["raised"] += raised
-            counts["fallback"] += len(lps) > before
-            counts["raised by a dual"] += raised and len(lps) == before
+            counts["fallback"] += n_lps > 0
+            counts["raised by a dual"] += raised and n_lps == 0
     assert counts["sets"] >= 200 and counts["raised"] >= 50, counts
     assert min(counts.values()) >= 20, counts
 
 
-def test_vertex_ladder_parse_solves_only_degenerate_fallback_lps(credal_lps):
+def test_vertex_ladder_parse_solves_only_degenerate_fallback_lps(solved_lps):
     # the 2(n + k)-LP check solved 120 LPs here; with vertex duals only the
     # directions whose every minimiser is degenerate solve one
     for path in sorted(LADDER.glob("*.doc.txt")):
         parse_document(path.read_text())
-    assert len(credal_lps) == 2
+    assert len(lps_in(solved_lps, "credal")) == 2
 
 
 def test_from_vertices_prunes_interior_points():
@@ -310,7 +295,24 @@ def _rung2_joint():
     return CredalSet.from_constraints(space, cons)
 
 
-def test_hull_pruning_lp_count_and_width(monkeypatch):
+def test_self_check_leaves_zero_and_repeated_rows_out_of_tight_sets(solved_lps):
+    # A zero row, or a positive multiple of an earlier row, is no extra
+    # tight row: the joint's self-check still solves its one fallback LP
+    # (it solved 7, 7 and 11 when such rows made every vertex degenerate).
+    # A negative multiple turns the row into an equality and stays.
+    joint = _rung2_joint()
+    space, cons = joint.space, list(joint.constraints)
+    first = cons[0]
+    for extra in ([], [first], [first.scale(2)], [Gamble.zero(space)]):
+        solved_lps.clear()
+        cs = CredalSet.from_constraints(space, cons + extra)
+        assert cs.vertices == joint.vertices
+        assert len(lps_in(solved_lps, "credal")) == 1
+    equality = CredalSet.from_constraints(space, cons + [first.scale(-1)])
+    assert all(v(first) == 0 for v in equality.vertices)
+
+
+def test_hull_pruning_lp_count_and_width(solved_lps):
     # each marginal prunes >= 30 distinct projected points to <= 4 vertices;
     # a hull LP has at most one column per kept vertex, and there are at
     # most (distinct points + kept vertices) of them
@@ -318,28 +320,22 @@ def test_hull_pruning_lp_count_and_width(monkeypatch):
     masses = [v.mass for v in joint.vertices]
     by_state = {(sum(m[0:3]), sum(m[3:6]), sum(m[6:9])) for m in masses}
     by_prize = {(sum(m[0::3]), sum(m[1::3]), sum(m[2::3])) for m in masses}
-    widths = []
-    real_solve = desir.credal.solve
-
-    def counting_solve(problem):
-        widths.append(len(problem.objective))
-        return real_solve(problem)
-
-    monkeypatch.setattr(desir.credal, "solve", counting_solve)
     marginals = []
     for build, distinct in (
         (joint.marginal_omega, len(by_state)),
         (joint.marginal_prizes, len(by_prize)),
     ):
-        widths.clear()
+        solved_lps.clear()
         marginal = build()
+        widths = [len(p.objective) for p in lps_in(solved_lps, "credal")]
         kept = len(marginal.vertices)
         assert distinct >= 30 and kept <= 4
         assert widths and max(widths) <= kept
         assert len(widths) <= distinct + kept
         marginals.append(marginal)
-    widths.clear()
+    solved_lps.clear()
     sp = strong_product(*marginals, joint.space)
+    widths = [len(p.objective) for p in lps_in(solved_lps, "credal")]
     assert widths == []
     assert len(sp.vertices) == len(marginals[0].vertices) * len(marginals[1].vertices)
 

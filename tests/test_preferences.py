@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from desir import cones, preferences
+from desir import preferences
 from desir.cones import DesirSet
 from desir.credal import CredalSet, LinearPrevision
 from desir.errors import InputError, ModelError
@@ -19,7 +19,7 @@ from desir.preferences import (
 )
 from desir.spaces import Gamble, HorseLottery, Space, project_pi
 
-from conftest import rand_lottery, rand_space
+from conftest import lps_in, rand_lottery, rand_space
 from oracles import bare_cone_contains, combines_to_zero
 
 COIN = Space(("h", "t"), ("x",), "z")
@@ -185,25 +185,18 @@ def test_bare_relations_match_cone_oracles(rng):
     assert consistent >= 200 and queries >= 2000 and true_answers >= 200
 
 
-def test_bare_holds_solves_one_lp(monkeypatch):
+def test_bare_holds_solves_one_lp(solved_lps):
     # consistency is settled once with the cached cone; a query is then one
     # membership LP in the cone layer, and preferences solves none itself
     assert not hasattr(preferences, "solve")
     rel = ray_relation()
     assert rel.is_consistent()
-    calls = []
-    real_solve = cones.solve
-
-    def counted(problem):
-        calls.append(problem)
-        return real_solve(problem)
-
-    monkeypatch.setattr(cones, "solve", counted)
     r = bare([[F(1, 2), 0, F(1, 2)]])
     s = bare([[0, F(1, 2), F(1, 2)]])
-    assert rel.holds(r, s) and len(calls) == 1
-    calls.clear()
-    assert not rel.holds(s, r) and len(calls) == 1
+    solved_lps.clear()
+    assert rel.holds(r, s) and len(lps_in(solved_lps, "cones")) == 1
+    solved_lps.clear()
+    assert not rel.holds(s, r) and len(lps_in(solved_lps, "cones")) == 1
 
 
 def test_dominates_examples():
