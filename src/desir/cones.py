@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .credal import CredalSet, LinearPrevision
+from .credal import CredalSet, LinearPrevision, enumerate_vertices
 from .errors import InputError, InternalError, ModelError
 from .lp import EQ, GE, LE, OPTIMAL, LpOutcome, LpProblem, Rat, rat, solve
 from .spaces import (
@@ -169,7 +169,8 @@ def open_superset_witness(
     convex combination is <= 0 (partial loss) or some prevision is
     strictly positive on all of them, never both.  The partial-loss LP
     decides it and, when infeasible, its Farkas vector y is the witness.
-    In verify_farkas's convention y.b > 0 gives y_last > 0, the slack of
+    In ``solve``'s Farkas convention (y.A <= 0 and y.b > 0 over the
+    internal equality rows) y.b > 0 gives y_last > 0, the slack of
     each cell row gives y_c <= 0, and each gamble's column gives
     sum_c -y_c g(c) >= y_last > 0; so P = -y[:n] / sum(-y[:n]).  With no
     gambles the uniform prevision serves.
@@ -471,14 +472,30 @@ class ConditionalView:
         return self.base.contains(f)
 
     def materialized_generators(self) -> tuple[Gamble, ...]:
-        """The restricted generators that survive; exact for display, the
-        oracle stays the source of truth."""
-        if self.base.kind != FG:
+        """A complete generating set of an fg set's conditional set, for
+        display; empty for the credal kinds, whose view is an oracle.
+
+        f = Bf is sum lambda_k g_k + h with lambda, h >= 0, so
+        sum lambda_k g_k(c) <= 0 on each cell c off B.  These lambda form a
+        cone spanned by the vertices of its slice sum lambda = 1: one vertex
+        enumeration on a k-cell space, one constraint -(g_1(c), ..., g_k(c))
+        per cell c off B (ResourceLimitError over budget).  Each vertex
+        gives the ray B sum lambda_k g_k, in vertex order; zero and
+        nonnegative rays add nothing to L+, and they and repeats are dropped.
+        """
+        gens = self.base.generators
+        if self.base.kind != FG or not gens:
             return ()
+        space, inside = self.base.space, set(self.event.cells)
+        lam = Space(tuple(f"g{k}" for k in range(len(gens))), ("x",))
+        flats = [g.flat() for g in gens]
+        off = [c for c, cell in enumerate(space.cells()) if cell not in inside]
+        cons = [Gamble.of(lam, [[-f[c]] for f in flats]) for c in off]
         out = []
-        for g in self.base.generators:
-            bg = g.restricted_to(self.event)
-            if not bg.is_zero() and self.base.contains(bg):
+        for row in enumerate_vertices(lam, cons):
+            mix = [g.scale(Fraction(x, sum(row))) for x, g in zip(row, gens) if x]
+            bg = sum(mix, Gamble.zero(space)).restricted_to(self.event)
+            if bg.min_value() < 0 and bg not in out:
                 out.append(bg)
         return tuple(out)
 

@@ -4,24 +4,26 @@ A linear prevision is an expectation functional, stored as an exact joint
 mass function on the cells of a space.  A credal set is a polytope of
 linear previsions, held in two coupled representations: an optional list
 of homogeneous constraints P(g_i) >= 0 over the probability simplex (the
-H-form) and the enumerated list of its vertices (the V-form).  Sets built
-from constraints enumerate their vertices eagerly; sets built from points
-(convex hulls, marginals, mixtures) keep only the V-form and answer
-membership through exact linear programs.  Building one from points
-prunes them to the extreme points output-sensitively (Clarkson): each
-point is tested against the extreme points found so far, and each failed
-test exposes a new one, so a hull LP has at most as many columns as the
-set has vertices, not one per point.  Strong products need no pruning.
+H-form) and its vertices (the V-form).  Sets built from constraints
+enumerate their vertices eagerly; sets built from points (convex hulls,
+marginals, mixtures) keep only the V-form and answer membership through
+exact linear programs.  Building one from points prunes them to the
+extreme points output-sensitively (Clarkson): each point is tested
+against the extreme points found so far, and each failed test exposes a
+new one, so a hull LP has at most as many columns as the set has
+vertices, not one per point.  Strong products need no pruning.
 
 Every envelope query is a vertex scan: a lower prevision, the generalized
 Bayes rule and the membership tests of the strict and augmented cones all
 attain their extremes at a vertex.  A credal set therefore holds its
-vertices once more as one integer matrix, every mass a numerator over one
-common denominator (the lcm of all vertex denominators).  A query turns
-its gamble into integer numerators over the gamble's own lcm, takes one
-integer dot product per vertex, compares by integer (cross-)multiplication
-and builds a single Fraction at the end, so every answer is the exact
-rational the Fraction scan gives, at machine-integer cost per vertex.
+vertices as one integer matrix, every mass a numerator over one common
+denominator, in lowest terms.  A query turns its gamble into integer
+numerators over the gamble's own lcm, takes one integer dot product per
+vertex, compares by integer (cross-)multiplication and builds a single
+Fraction at the end, so every answer is the exact rational the Fraction
+scan gives, at machine-integer cost per vertex.  Enumeration, pruning
+and products work on these rows too; linear previsions are built only at
+the boundary: from outside input, and as the vertex list, on first use.
 
 Vertex enumeration is the desk-scale active-set sweep: every vertex of
 {p >= 0, sum p = 1, G p >= 0} is the unique solution of n - 1 active rows
@@ -47,10 +49,11 @@ degenerate falls back to the H-form LP.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -76,12 +79,7 @@ class LinearPrevision:
     mass: tuple[Rat, ...]  # row-major over cells
 
     def __post_init__(self):
-        if len(self.mass) != self.space.n_cells:
-            raise InputError("mass vector does not match the space")
-        if any(v < 0 for v in self.mass):
-            raise InputError("mass entries must be nonnegative")
-        if sum(self.mass, Fraction(0)) != 1:
-            raise InputError("mass must sum to one")
+        _check_mass(self.space, self.mass)
 
     @staticmethod
     def of(space: Space, values: Iterable) -> "LinearPrevision":
@@ -93,6 +91,15 @@ class LinearPrevision:
             raise InputError("gamble and prevision live on different spaces")
         cells = itertools.chain.from_iterable(f.values)
         return sum((v * p for v, p in zip(cells, self.mass) if p and v), Fraction(0))
+
+
+def _check_mass(space: Space, mass: Sequence[Rat]):
+    if len(mass) != space.n_cells:
+        raise InputError("mass vector does not match the space")
+    if any(v < 0 for v in mass):
+        raise InputError("mass entries must be nonnegative")
+    if sum(mass, Fraction(0)) != 1:
+        raise InputError("mass must sum to one")
 
 
 def _integer_row(values: Sequence[Rat]) -> tuple[list[int], int]:
@@ -125,11 +132,14 @@ def _bareiss_solve(m: list[list[int]]) -> Optional[tuple[list[int], int]]:
 
 def enumerate_vertices(
     space: Space, constraints: Sequence[Gamble]
-) -> tuple[LinearPrevision, ...]:
-    """All vertices of {p in simplex : P(g) >= 0 for each constraint g}.
-
-    Exact, duplicate-free, lexicographically ordered.  Raises
-    ResourceLimitError, before any solve, when the candidate count
+) -> tuple[tuple[int, ...], ...]:
+    """All vertices of {p in simplex : P(g) >= 0 for each constraint g},
+    as integer rows over one common denominator, each summing to it:
+    distinct, in lexicographic order and in lowest terms.  Each vertex is
+    y / sum(y) with gcd(y) = 1, the denominator the lcm of the sums; a
+    prime power dividing it divides some sum s as far, so that row
+    y * (lcm / s) has an entry prime to it.  Empty when no vertex exists.
+    Raises ResourceLimitError, before any solve, when the candidate count
     C(n + k, n - 1) exceeds ENUMERATION_BUDGET.
     """
     n = space.n_cells
@@ -150,7 +160,7 @@ def enumerate_vertices(
     neg = [sum(1 << j for j, x in enumerate(r) if x < 0) for r in rows]
     # c constraint rows and n - 1 - c unit rows p_j = 0 leave the c rows and
     # sum p = 1 over c + 1 free cells; the determinant is +- the full one's
-    seen = set()
+    seen = {}  # each vertex's row in lowest terms, and its sum
     for c in range(min(k, n - 1) + 1):
         for picked in itertools.combinations(range(k), c):
             chosen = [rows[i] for i in picked]
@@ -173,67 +183,58 @@ def enumerate_vertices(
                     continue
                 if any(sum(r[j] * v for j, v in zip(free, y)) < 0 for r in rows):
                     continue
-                scale = math.gcd(*y)
-                seen.add(tuple((j, v // scale) for j, v in zip(free, y) if v))
-    points = []
-    zero = Fraction(0)  # one object for every zero mass
-    for support in seen:
-        y = dict(support)
-        total = sum(y.values())
-        points.append(
-            tuple([Fraction(y[j], total) if j in y else zero for j in range(n)])
-        )
-    return tuple(LinearPrevision(space, m) for m in sorted(points))
+                g = math.gcd(*y)
+                row = [0] * n
+                for j, v in zip(free, y):
+                    row[j] = v // g
+                seen[tuple(row)] = sum(row)
+    den = math.lcm(*seen.values())
+    return tuple(sorted([tuple([x * (den // s) for x in r]) for r, s in seen.items()]))
 
 
-def _hull_lp(points: Sequence[tuple[Rat, ...]], mass: tuple[Rat, ...]) -> LpOutcome:
-    """The hull LP: is ``mass`` a convex combination of ``points``?"""
-    return solve(LpProblem.cone(points, EQ, mass, convex=True))
+def _hull_lp(points: Sequence[Sequence], target: Sequence) -> LpOutcome:
+    """The hull LP: is ``target`` a convex combination of ``points``?"""
+    return solve(LpProblem.cone(points, EQ, target, convex=True))
 
 
 @dataclass(frozen=True)
 class CredalSet:
     """A nonempty polytope of linear previsions on one space.
 
-    Invariant: ``vertices`` are distinct, extreme and in lexicographic
-    order of their masses.  Both constructors guarantee it, and
-    ``products.strong_product`` and ``minimizer`` rely on it.
-
-    ``_rows[k][c] / _den`` is vertex k's mass on cell c, ``_den`` the lcm
-    of every vertex denominator: the integer matrix every scan runs on.
+    ``rows[k][c] / den`` is vertex k's mass on cell c: the integer matrix
+    every scan runs on.  Invariant: the rows are distinct, extreme, in
+    lexicographic order and each sums to ``den``, and gcd(den, every
+    entry) = 1.  That lowest-terms matrix is unique to the polytope, so
+    sets with the same vertices and constraints compare and hash equal.
+    Both constructors and ``products.strong_product`` guarantee the
+    invariant; ``minimizer`` and ``products.is_strong_product`` rely on it.
     """
 
     space: Space
-    vertices: tuple[LinearPrevision, ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
     constraints: Optional[tuple[Gamble, ...]] = None
-    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.vertices:
+        if not self.rows:
             raise ModelError("credal set is empty")
-        for v in self.vertices:
-            if v.space != self.space:
-                raise InputError("vertex on the wrong space")
-        den = math.lcm(*[x.denominator for v in self.vertices for x in v.mass])
-        rows = tuple(
-            [
-                tuple([x.numerator * (den // x.denominator) for x in v.mass])
-                for v in self.vertices
-            ]
-        )
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_rows", rows)
+
+    @functools.cached_property
+    def vertices(self) -> tuple[LinearPrevision, ...]:
+        """The vertices as linear previsions, in row order, built on first use."""
+        den = self.den
+        masses = [tuple([Fraction(x, den) for x in row]) for row in self.rows]
+        return tuple([LinearPrevision(self.space, m) for m in masses])
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_constraints(space: Space, constraints: Sequence[Gamble]) -> "CredalSet":
         cons = tuple(constraints)
-        vertices = enumerate_vertices(space, cons)
-        if not vertices:
+        rows = enumerate_vertices(space, cons)
+        if not rows:
             raise ModelError("the constraints cut the simplex down to nothing")
-        cs = CredalSet(space, vertices, cons)
+        cs = CredalSet(space, rows, sum(rows[0]), cons)
         cs._check_double_inclusion()
         return cs
 
@@ -252,27 +253,31 @@ class CredalSet:
         an extreme point of their hull, and an extreme point of a face is
         one of the polytope.  It joins E and the point is tested again.
         Every LP has at most h - 1 columns, h the number of vertices kept,
-        and there are fewer LPs than points.
+        and there are fewer LPs than points.  The points are brought to
+        one denominator once: hull LPs take integer columns, the maximiser
+        is an integer argmax, and one gcd puts the kept rows in lowest terms.
         """
-        pts = []
-        seen = set()
+        points = set()
         for m in masses:
-            p = m if isinstance(m, LinearPrevision) else LinearPrevision.of(space, m)
-            if p.space != space:
-                raise InputError("vertex on the wrong space")
-            if p.mass not in seen:
-                seen.add(p.mass)
-                pts.append(p)
-        pts.sort(key=lambda p: p.mass)
-        # integer rows: point k is rows[k][0] / rows[k][1]
-        rows = [_integer_row(p.mass) for p in pts]
+            if isinstance(m, LinearPrevision):
+                if m.space != space:
+                    raise InputError("vertex on the wrong space")
+                mass = m.mass
+            else:
+                mass = tuple([rat(v) for v in m])
+                _check_mass(space, mass)
+            points.add(mass)
+        den = math.lcm(*[x.denominator for p in points for x in p])
+        rows = sorted(
+            [tuple([x.numerator * (den // x.denominator) for x in p]) for p in points]
+        )
         n = space.n_cells
         kept: list[int] = []
-        is_kept = [False] * len(pts)
-        for i, p in enumerate(pts):
+        is_kept = [False] * len(rows)
+        for i, row in enumerate(rows):
             while not is_kept[i]:
                 if kept:
-                    out = _hull_lp([pts[k].mass for k in kept], p.mass)
+                    out = _hull_lp([rows[k] for k in kept], row)
                     if out.status == OPTIMAL:
                         break
                     # every row has a nonnegative right-hand side, so the
@@ -280,17 +285,16 @@ class CredalSet:
                     d = _integer_row(out.farkas[:n])[0]
                 else:
                     d = [0] * n  # nothing kept yet: the lexicographic maximum
-                best, best_num, best_den = -1, 0, 1
-                for k in reversed(range(len(pts))):
-                    row, scale = rows[k]
-                    num = sum(map(operator.mul, d, row))
-                    if best < 0 or num * best_den > best_num * scale:
-                        best, best_num, best_den = k, num, scale
+                vals = [sum(map(operator.mul, d, r)) for r in rows]
+                # ties to the largest index: the rows are sorted
+                best = len(vals) - 1 - vals[::-1].index(max(vals))
                 if is_kept[best]:
                     raise InternalError("hull pruning exposed a kept point again")
                 is_kept[best] = True
                 kept.append(best)
-        return CredalSet(space, tuple(pts[k] for k in sorted(kept)), None)
+        g = math.gcd(den, *[x for k in kept for x in rows[k]])
+        kept_rows = tuple([tuple([x // g for x in rows[k]]) for k in sorted(kept)])
+        return CredalSet(space, kept_rows, den // g)
 
     @staticmethod
     def vacuous(space: Space) -> "CredalSet":
@@ -324,7 +328,7 @@ class CredalSet:
         """
         assert self.constraints is not None
         n = self.space.n_cells
-        rows, den = self._rows, self._den
+        rows, den = self.rows, self.den
         gs = [_integer_row(g.flat())[0] for g in self.constraints]
         keys = [tuple([x // d for x in g]) if (d := math.gcd(*g)) else () for g in gs]
         distinct = [k for k, key in enumerate(keys) if key and key not in keys[:k]]
@@ -385,7 +389,7 @@ class CredalSet:
             raise InputError("prevision on the wrong space")
         if self.constraints is not None:
             return all(p(g) >= 0 for g in self.constraints)
-        return _hull_lp([v.mass for v in self.vertices], p.mass).status == OPTIMAL
+        return _hull_lp(self.rows, [x * self.den for x in p.mass]).status == OPTIMAL
 
     def _values(self, f: Gamble) -> tuple[list[int], int]:
         """Every vertex's P(f) as an integer numerator, and their common
@@ -394,7 +398,7 @@ class CredalSet:
             raise InputError("gamble and prevision live on different spaces")
         nums, d = _integer_row(f.flat())
         mul = operator.mul
-        return [sum(map(mul, row, nums)) for row in self._rows], self._den * d
+        return [sum(map(mul, row, nums)) for row in self.rows], self.den * d
 
     def _event_columns(self, event: EventSet) -> list[int]:
         if event.space != self.space:
@@ -413,9 +417,9 @@ class CredalSet:
     def centroid(self) -> LinearPrevision:
         """The mean of the vertices: P(f) > 0 whenever every vertex has
         P(f) >= 0 and some vertex has P(f) > 0."""
-        total = len(self._rows) * self._den
+        total = len(self.rows) * self.den
         return LinearPrevision(
-            self.space, tuple([Fraction(sum(col), total) for col in zip(*self._rows)])
+            self.space, tuple([Fraction(sum(col), total) for col in zip(*self.rows)])
         )
 
     def minimizer(self, f: Gamble) -> LinearPrevision:
@@ -425,7 +429,7 @@ class CredalSet:
         return self.vertices[vals.index(min(vals))]
 
     def is_linear(self) -> bool:
-        return len(self.vertices) == 1
+        return len(self.rows) == 1
 
     def represents_complete(self, scope: str) -> bool:
         """Single-vertex tests for completeness of preferences/beliefs/values."""
@@ -439,8 +443,8 @@ class CredalSet:
 
     def lower_probability(self, event: EventSet) -> Rat:
         cols = self._event_columns(event)
-        least = min(sum([row[c] for c in cols]) for row in self._rows)
-        return Fraction(least, self._den)
+        least = min(sum([row[c] for c in cols]) for row in self.rows)
+        return Fraction(least, self.den)
 
     def generalized_bayes(self, f: Gamble, event: EventSet) -> Optional[Rat]:
         """min over P of P(Bf) / P(B), or None when some P gives B zero
@@ -455,7 +459,7 @@ class CredalSet:
         cols = self._event_columns(event)
         if f.space != self.space:
             raise InputError("gamble and prevision live on different spaces")
-        picked = [[row[c] for c in cols] for row in self._rows]
+        picked = [[row[c] for c in cols] for row in self.rows]
         probs = [sum(p) for p in picked]
         if 0 in probs:
             return None
@@ -484,17 +488,16 @@ class CredalSet:
     # -- marginals ----------------------------------------------------
 
     def marginal_omega(self) -> "CredalSet":
-        m, cells = self.space.n_prizes, self.space.n_cells
+        m, cells, den = self.space.n_prizes, self.space.n_cells, self.den
         masses = [
-            tuple(sum(v.mass[i : i + m], Fraction(0)) for i in range(0, cells, m))
-            for v in self.vertices
+            [Fraction(sum(row[i : i + m]), den) for i in range(0, cells, m)]
+            for row in self.rows
         ]
         return CredalSet.from_vertices(omega_factor_space(self.space), masses)
 
     def marginal_prizes(self) -> "CredalSet":
-        m = self.space.n_prizes
+        m, den = self.space.n_prizes, self.den
         masses = [
-            tuple(sum(v.mass[j::m], Fraction(0)) for j in range(m))
-            for v in self.vertices
+            [Fraction(sum(row[j::m]), den) for j in range(m)] for row in self.rows
         ]
         return CredalSet.from_vertices(prizes_factor_space(self.space), masses)

@@ -21,8 +21,9 @@ the phase-1 pivots, which keep it reduced against the basis, so phase 2
 starts without re-expressing it.
 
 Outcomes carry certificates: an optimal witness that satisfies every
-constraint exactly, or, on infeasibility, Farkas multipliers for the
-internal standard form (see :func:`verify_farkas`).
+constraint exactly, or, on infeasibility, Farkas multipliers y for the
+rows of the internal equality form (:func:`_standard_form`), with
+y.A <= 0 componentwise and y.b > 0.
 """
 
 from __future__ import annotations
@@ -352,8 +353,8 @@ def solve(problem: LpProblem) -> LpOutcome:
     if tab[m][-1] < 0:  # minus the phase-1 optimum
         # Phase-1 duality: y_i = 1 - reduced cost of the original artificial
         # i, which is den_i times that of the scaled one.  Validity
-        # (y.A <= 0, y.b > 0) holds by construction and is replayed by
-        # verify_farkas in the test suite.
+        # (y.A <= 0, y.b > 0) holds by construction; the test suite
+        # replays it.
         z_den = dens[m] * lcm_den
         y = [1 - Fraction(den * v, z_den) for den, v in zip(row_dens, tab[m][art0:])]
         return LpOutcome(status=INFEASIBLE, farkas=tuple(y))
@@ -391,43 +392,3 @@ def solve(problem: LpProblem) -> LpOutcome:
         optimum = -optimum
     return LpOutcome(status=OPTIMAL, optimum=optimum, witness=witness)
 
-
-def verify_witness(problem: LpProblem, witness: Sequence[Rat]) -> bool:
-    """Exact feasibility of a point for the original problem."""
-    if len(witness) != len(problem.objective):
-        return False
-    for x, (lo, hi) in zip(witness, problem.bounds):
-        if lo is not None and x < lo:
-            return False
-        if hi is not None and x > hi:
-            return False
-    for con in problem.constraints:
-        lhs = sum((a * x for a, x in zip(con.coeffs, witness)), Fraction(0))
-        if con.relation == LE and lhs > con.rhs:
-            return False
-        if con.relation == GE and lhs < con.rhs:
-            return False
-        if con.relation == EQ and lhs != con.rhs:
-            return False
-    return True
-
-
-def verify_farkas(problem: LpProblem, farkas: Sequence[Rat]) -> bool:
-    """Replay an infeasibility certificate.
-
-    ``farkas`` multiplies the rows of the internal equality form (original
-    constraints first, then one row per finite upper bound, each negated
-    when needed so its right-hand side is nonnegative); validity means the
-    combination proves ``0 > 0`` over nonnegative variables:
-    y.A <= 0 componentwise and y.b > 0.
-    """
-    rows, dens, _, (z, _) = _standard_form(problem)
-    if len(farkas) != len(rows):
-        return False
-    total = [Fraction(0)] * len(z)
-    for y, row, den in zip(farkas, rows, dens):
-        w = Fraction(y) / den
-        for j, v in enumerate(row):
-            if v:
-                total[j] += w * v
-    return all(t <= 0 for t in total[:-1]) and total[-1] > 0

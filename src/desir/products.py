@@ -108,27 +108,16 @@ def irrelevant_product_set(
     return DesirSet.from_generators(joint, gens)
 
 
-def is_irrelevant_product(
-    d_joint: DesirSet, r_x: DesirSet, probes: Sequence[Gamble] = ()
-) -> bool:
-    """Whether the joint accepts every prize-marginal ray called off on
-    each single state; generator sufficiency when the marginal is
-    finitely generated, caller-supplied probes otherwise."""
+def is_irrelevant_product(d_joint: DesirSet, r_x: DesirSet) -> bool:
+    """Whether the joint accepts every generator of the finitely generated
+    prize marginal called off on each single state (the generators
+    suffice: the joint is a convex cone containing L+)."""
     joint = d_joint.space
     _check_factors(joint, None, r_x)
-    if r_x.kind == "fg":
-        rays = r_x.generators
-    elif probes:
-        rays = tuple(probes)
-    else:
-        raise InputError(
-            "a non-finitely-generated prize marginal needs probe gambles"
-        )
-    for g in rays:
-        if g.space != prizes_factor_space(joint):
-            raise InputError("probe ray is not on the prize factor")
+    if r_x.kind != "fg":
+        raise InputError("irrelevance needs a finitely generated prize marginal")
     for i in range(joint.n_states):
-        for g in rays:
+        for g in r_x.generators:
             if not d_joint.contains(embed_at_state(joint, i, g)):
                 return False
     return True
@@ -177,7 +166,8 @@ def strong_product(
 ) -> CredalSet:
     """Hull of the pairwise vertex products; bilinearity puts the lower
     envelope at vertex pairs, so this credal set evaluates the strong
-    product exactly.
+    product exactly.  Each product row is the cell-by-cell product of two
+    factor rows, over den_omega * den_x.
 
     Every product is already a vertex, so nothing is pruned.  Suppose
     P1 x P2 = sum_k l_k Q1_k x Q2_k, a convex combination of products of
@@ -187,17 +177,20 @@ def strong_product(
     P2 = sum_k l_k Q2_k, so Q2_k = P2 as well: no product is a mixture of
     the others.  Distinct factor vertices give distinct products, since
     the marginals recover the factors.
+
+    That denominator is in lowest terms.  A prime p dividing it divides
+    den_omega, say; by the factor's gcd 1, some state entry a is prime to
+    p.  Some prize entry b is prime to p too: by the other factor's gcd 1
+    when p divides den_x, and otherwise because every prize row sums to
+    den_x.  So p does not divide the product entry a * b.
     """
     if joint is None:
         joint = joint_space(m_omega.space, m_x.space)
     _check_factors(joint, m_omega, m_x)
     products = [
-        product_prevision(vo, vx, joint)
-        for vo in m_omega.vertices
-        for vx in m_x.vertices
+        tuple([a * b for a in ro for b in rx]) for ro in m_omega.rows for rx in m_x.rows
     ]
-    products.sort(key=lambda p: p.mass)
-    return CredalSet(joint, tuple(products), None)
+    return CredalSet(joint, tuple(sorted(products)), m_omega.den * m_x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +285,9 @@ def is_strong_product(
     """Whether the joint is the strong product of the two marginals.
 
     Two polytopes are equal exactly when their extreme points are, and
-    both vertex lists are distinct, extreme and sorted (the ``CredalSet``
-    invariant, which ``strong_product`` proves for its own output), so
-    the lists are compared directly, with no LP.
+    both vertex matrices are distinct, extreme, sorted and in lowest terms
+    (the ``CredalSet`` invariant, which ``strong_product`` proves for its
+    own output), so the rows are compared directly, with no LP; equal rows
+    have equal sums, so equal denominators.
     """
-    return joint.vertices == strong_product(m_omega, m_x, joint.space).vertices
+    return joint.rows == strong_product(m_omega, m_x, joint.space).rows

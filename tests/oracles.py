@@ -13,7 +13,9 @@ supremum as one LP with mu a free variable; the envelope oracles scan
 the vertices with one Fraction multiply-add per cell; the strong-product
 oracle checks domination both ways with one hull LP per vertex; the
 reference simplex keeps every tableau row in lowest terms with one gcd
-reduction per row and pivot; the dichotomy oracles decide the open side
+reduction per row and pivot, and the certificate replays check an LP
+witness against the original problem and a Farkas vector against the
+internal equality form in Fractions; the dichotomy oracles decide the open side
 of partial loss by a max-margin LP over mixtures of given points, and a
 bare preference cone by convex and conic equality LPs.  Each is an
 independent route to the same exact answer.
@@ -172,6 +174,47 @@ def solve_reference(problem):
     if problem.sense == "max":
         optimum = -optimum
     return LpOutcome(status=OPTIMAL, optimum=optimum, witness=witness)
+
+
+def verify_witness(problem, witness):
+    """Exact feasibility of a point for the original problem."""
+    if len(witness) != len(problem.objective):
+        return False
+    for x, (lo, hi) in zip(witness, problem.bounds):
+        if lo is not None and x < lo:
+            return False
+        if hi is not None and x > hi:
+            return False
+    for con in problem.constraints:
+        lhs = sum((a * x for a, x in zip(con.coeffs, witness)), Fraction(0))
+        if con.relation == LE and lhs > con.rhs:
+            return False
+        if con.relation == GE and lhs < con.rhs:
+            return False
+        if con.relation == EQ and lhs != con.rhs:
+            return False
+    return True
+
+
+def verify_farkas(problem, farkas):
+    """Replay an infeasibility certificate.
+
+    ``farkas`` multiplies the rows of the internal equality form (original
+    constraints first, then one row per finite upper bound, each negated
+    when needed so its right-hand side is nonnegative); validity means the
+    combination proves ``0 > 0`` over nonnegative variables:
+    y.A <= 0 componentwise and y.b > 0.
+    """
+    rows, dens, _, (z, _) = _standard_form(problem)
+    if len(farkas) != len(rows):
+        return False
+    total = [Fraction(0)] * len(z)
+    for y, row, den in zip(farkas, rows, dens):
+        w = Fraction(y) / den
+        for j, v in enumerate(row):
+            if v:
+                total[j] += w * v
+    return all(t <= 0 for t in total[:-1]) and total[-1] > 0
 
 
 def _gauss_solve(rows, rhs):

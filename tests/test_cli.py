@@ -50,6 +50,18 @@ def test_vertices_and_views(coin_doc):
     assert out[0] == "fg"
 
 
+def test_condition_prints_a_complete_generating_set():
+    # g1 = (1, -2, 1) and g2 = (1, 1, -1) conditioned on {a, b}: the
+    # restricted g1 is no member, the restricted g2 is nonnegative, and the
+    # conditional set is generated by (g1 + g2) / 2 = (1, -1/2, 0) on B
+    text = (
+        "space\nomega a b c\nprizes x\nend\n\n"
+        "gamble g1\n1\n-2\n1\nend\n\ngamble g2\n1\n1\n-1\nend\n\n"
+        "desirset D fg g1 g2\n\nevent B\nstates a b\nend\n"
+    )
+    assert one(parse_document(text), "condition D B") == ["fg", "1/1 -1/2 0/1"]
+
+
 def test_member_certificates(coin_doc):
     out = one(coin_doc, "member R2 f certificate")
     assert out[0] == "true"
@@ -194,6 +206,32 @@ def test_committed_vertex_ladder_answers_byte_identical(rung):
     )
     kinds = {cmd.split()[0] for cmd, _ in wanted}
     assert {"vertices", "marginal", "product", "statecheck"} <= kinds
+
+
+@pytest.mark.parametrize(
+    "doc_path",
+    [
+        BENCH_DATA / "vertex-ladder" / "rung2-3x3-3.doc.txt",
+        BENCH_DATA / "augmented-cond" / "augmented.doc.txt",
+        BENCH_DATA / "fg-strict-batch" / "batch.doc.txt",
+    ],
+    ids=["rung2", "augmented-cond", "fg-strict-batch"],
+)
+def test_parse_and_envelopes_build_no_linear_prevision(doc_path, monkeypatch):
+    # a credal set keeps one integer matrix: enumeration, hull pruning,
+    # strong products and every envelope scan read its rows, and linear
+    # previsions are built only at the boundary (the vertex list on demand)
+    built = []
+    check = desir.credal.LinearPrevision.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(desir.credal.LinearPrevision, "__post_init__", counting)
+    envelopes = ("lowprev", "upprev", "condnatex", "condlowprev")
+    _replay_committed(doc_path, lambda cmd: cmd.split()[0] in envelopes)
+    assert built == []
 
 
 def _fg_scale_text():

@@ -299,6 +299,42 @@ def test_condition_members_are_members(rng):
             assert view.contains(bg)
 
 
+def test_condition_generators_span_the_conditional_set(rng):
+    """The printed generating set of an fg set conditioned on a random
+    cell event has the conditional set's members: probes on B include the
+    restricted generators and positive combinations of them, which sit
+    on the boundary, as well as random gambles."""
+    counts = dict.fromkeys(("sets", "member", "non-member", "gens > 3"), 0)
+    for _ in range(100):
+        space = rand_space(rng, worst=False)
+        k = rng.randint(1, 6)
+        gens = [rand_gamble(rng, space, lo=-3, hi=3, max_den=2) for _ in range(k)]
+        try:
+            d = DesirSet.from_generators(space, gens)
+        except ModelError:
+            continue
+        cells = space.cells()
+        event = EventSet(space, tuple(rng.sample(cells, rng.randint(1, len(cells)))))
+        view = d.condition(event)
+        printed = DesirSet.from_generators(space, view.materialized_generators())
+        restricted = [g.restricted_to(event) for g in gens]
+        probes = list(restricted)
+        for _ in range(8):
+            mix = Gamble.zero(space)
+            for bg in rng.sample(restricted, rng.randint(1, len(restricted))):
+                mix = mix + bg.scale(rng.randint(1, 3))
+            probes.append(mix)
+            f = rand_gamble(rng, space, lo=-3, hi=3, max_den=2)
+            probes.append(f.restricted_to(event))
+        counts["sets"] += 1
+        counts["gens > 3"] += len(gens) > 3
+        for f in probes:
+            member = view.contains(f)
+            assert printed.contains(f) == member
+            counts["member" if member else "non-member"] += 1
+    assert counts["sets"] >= 40 and min(counts.values()) >= 10, counts
+
+
 def test_marginal_vacuous():
     sq = Space(("h", "t"), ("x0", "x1"))
     d = DesirSet.vacuous(sq)

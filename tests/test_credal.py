@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from desir.credal import (
 )
 from desir.document import parse_document
 from desir.errors import InputError, InternalError, ModelError, ResourceLimitError
-from desir.products import strong_product
+from desir.products import product_prevision, strong_product
 from desir.spaces import EventSet, Gamble, Space
 
 from conftest import lps_in, rand_gamble, rand_mass_row, rand_space
@@ -38,24 +39,21 @@ def g(space, rows):
 
 
 def test_vacuous_vertices_are_point_masses():
-    vs = enumerate_vertices(COIN, ())
-    assert [v.mass for v in vs] == [(F(0), F(1)), (F(1), F(0))]
-    vs3 = enumerate_vertices(TRI, ())
-    assert len(vs3) == 3
-    assert all(sorted(v.mass) == [0, 0, 1] for v in vs3)
+    assert enumerate_vertices(COIN, ()) == ((0, 1), (1, 0))
+    assert enumerate_vertices(TRI, ()) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_halfspace_vertices():
-    # P((1,-1)) >= 0 on two cells: the edge p in [1/2, 1]
+    # P((1,-1)) >= 0 on two cells: the edge p in [1/2, 1], over 2
     vs = enumerate_vertices(COIN, (g(COIN, [[1], [-1]]),))
-    assert [v.mass for v in vs] == [(F(1, 2), F(1, 2)), (F(1), F(0))]
+    assert vs == ((1, 1), (2, 0))
 
 
 def test_forced_equality_vertex():
     vs = enumerate_vertices(
         COIN, (g(COIN, [[1], [-1]]), g(COIN, [[-1], [1]]))
     )
-    assert [v.mass for v in vs] == [(F(1, 2), F(1, 2))]
+    assert vs == ((1, 1),)
 
 
 def test_empty_credal_set_rejected():
@@ -73,14 +71,14 @@ def test_enumeration_budget():
 
 def test_thirty_cell_vacuous_set():
     big = Space(tuple(f"w{i}" for i in range(30)), ("x",))
-    vs = enumerate_vertices(big, ())
-    assert [v.mass for v in vs] == [
-        tuple(F(int(i == j)) for i in range(30)) for j in reversed(range(30))
-    ]
+    assert enumerate_vertices(big, ()) == tuple(
+        tuple(int(i == j) for i in range(30)) for j in reversed(range(30))
+    )
 
 
 def _kernel_masses(space, cons):
-    return tuple(v.mass for v in enumerate_vertices(space, cons))
+    rows = enumerate_vertices(space, cons)
+    return tuple(tuple(F(x, sum(r)) for x in r) for r in rows)
 
 
 def _masses_or_limit(enumerator, space, cons):
@@ -167,8 +165,10 @@ def _mutated(rng, cs, t):
                 for j in range(len(vs[0]))
             )
         )
-    points = tuple(LinearPrevision(cs.space, m) for m in sorted(set(vs)))
-    return CredalSet(cs.space, points, cs.constraints)
+    points = sorted(set(vs))
+    den = math.lcm(*[x.denominator for m in points for x in m])
+    rows = tuple(tuple(x.numerator * (den // x.denominator) for x in m) for m in points)
+    return CredalSet(cs.space, rows, den, cs.constraints)
 
 
 def _raises(check, cs):
@@ -279,6 +279,67 @@ def test_from_vertices_matches_leave_one_out_oracle(rng):
         counts["pruned"] += len(expected) < distinct
         counts["all kept"] += len(expected) == distinct > 1
         counts["single"] += len(expected) == 1
+    assert min(counts.values()) >= 10, counts
+
+
+def _check_matrix(cs):
+    """The vertex-matrix invariant of one credal set."""
+    rows, den = cs.rows, cs.den
+    assert math.gcd(den, *itertools.chain.from_iterable(rows)) == 1
+    assert list(rows) == sorted(set(rows))
+    assert all(sum(r) == den for r in rows)
+    assert [v.mass for v in cs.vertices] == [tuple(F(x, den) for x in r) for r in rows]
+
+
+def _same(a, b):
+    return a == b and hash(a) == hash(b)
+
+
+def test_vertex_matrix_is_unique_and_in_lowest_terms(rng):
+    """Constraint-form sets, hulls of their vertices with interior and
+    repeated points (tuples and previsions over mixed denominators), both
+    marginals and strong products: every matrix keeps the invariant, and
+    two builds of one polytope compare and hash equal."""
+    counts = dict.fromkeys(("sets", "pruned", "den > 1", "product > 2"), 0)
+    for _ in range(40):
+        space = rand_space(rng, worst=False)
+        cons = [rand_gamble(rng, space, max_den=6) for _ in range(rng.randint(0, 2))]
+        try:
+            h = CredalSet.from_constraints(space, cons)
+        except ModelError:
+            continue
+        assert _same(h, CredalSet.from_constraints(space, list(cons)))
+        masses = [v.mass for v in h.vertices]
+        cloud = masses + [rng.choice(masses)]
+        for _ in range(3):
+            cloud.append(_mix(rng, rng.sample(masses, min(3, len(masses)))))
+        rng.shuffle(cloud)
+        points = [
+            LinearPrevision.of(space, m) if rng.random() < 0.5 else m for m in cloud
+        ]
+        v = CredalSet.from_vertices(space, points)
+        assert _same(v, CredalSet.from_vertices(space, masses))
+        assert (v.rows, v.den) == (h.rows, h.den)
+        of = omega_factor_space(space)
+        m_omega = CredalSet.from_vertices(
+            of, [rand_mass_row(rng, of.n_cells) for _ in range(rng.randint(1, 3))]
+        )
+        m_x = h.marginal_prizes()
+        sp = strong_product(m_omega, m_x, space)
+        products = [
+            product_prevision(a, b, space)
+            for a in m_omega.vertices
+            for b in m_x.vertices
+        ]
+        assert _same(sp, CredalSet.from_vertices(space, products))
+        assert _same(sp.marginal_omega(), m_omega)
+        assert _same(sp.marginal_prizes(), m_x)
+        for cs in (h, v, h.marginal_omega(), m_x, m_omega, sp):
+            _check_matrix(cs)
+            counts["den > 1"] += cs.den > 1
+        counts["sets"] += 1
+        counts["pruned"] += len(v.rows) < len(set(cloud))
+        counts["product > 2"] += len(sp.rows) > 2
     assert min(counts.values()) >= 10, counts
 
 

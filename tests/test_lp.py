@@ -13,12 +13,10 @@ from desir.lp import (
     LpProblem,
     rat,
     solve,
-    verify_farkas,
-    verify_witness,
 )
 
 from conftest import rand_rat
-from oracles import solve_reference
+from oracles import solve_reference, verify_farkas, verify_witness
 
 
 def test_single_bound():

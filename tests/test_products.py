@@ -109,13 +109,11 @@ def test_is_irrelevant_product_counterexample():
         CredalSet.point(SQ, (F(1, 2), 0, 0, F(1, 2)))
     )
     assert not is_irrelevant_product(corr, r_x)
-    # strict joint against strict-style probes: rays with positive prize
-    # expectation are accepted, boundary rays are not
+    # a strict prize marginal has no generators to call off: refused
     product = DesirSet.strict(CredalSet.point(SQ, (F(1, 4),) * 4))
-    strict_probes = [pg([2, -1]), pg([-1, 3])]
-    assert is_irrelevant_product(product, DesirSet.strict(
-        CredalSet.point(PF, (F(1, 2), F(1, 2)))
-    ), probes=strict_probes)
+    strict_x = DesirSet.strict(CredalSet.point(PF, (F(1, 2), F(1, 2))))
+    with pytest.raises(InputError, match="finitely generated"):
+        is_irrelevant_product(product, strict_x)
     assert not is_irrelevant_product(product, r_x)
 
 
