@@ -25,16 +25,13 @@ scan gives, at machine-integer cost per vertex.  Enumeration, pruning
 and products work on these rows too; linear previsions are built only at
 the boundary: from outside input, and as the vertex list, on first use.
 
-Vertex enumeration is the desk-scale active-set sweep: every vertex of
-{p >= 0, sum p = 1, G p >= 0} is the unique solution of n - 1 active rows
-plus sum p = 1.  A choice of c constraint rows leaves c + 1 free cells
-(the chosen unit rows p_j = 0 pin the rest), so each candidate is a
-(c + 1)-square integer system, solved fraction-free (Bareiss) on the
-constraint rows scaled to integers, then filtered for feasibility.  A
-candidate whose chosen row has one strict sign on every free cell is
-skipped before its solve.  The one bound, ENUMERATION_BUDGET, caps the
-candidate count C(n + k, n - 1) before any solve and raises
-ResourceLimitError past it.
+Vertex enumeration is integer double description (Motzkin et al. 1953):
+the vertices are the extreme rays of {p >= 0, G p >= 0} scaled to sum
+one, and each constraint row in turn keeps the rays on its side and adds
+one primitive integer ray on each edge it cuts, adjacency being a test
+on zero-set bit masks.  The one bound, ENUMERATION_BUDGET, caps C(n + k,
+n - 1), which bounds every intermediate vertex count, and raises
+ResourceLimitError past it before any arithmetic.
 
 Every enumerated set is checked against its H-form on the support
 directions (plus or minus each cell and each constraint row), with LP
@@ -67,7 +64,7 @@ from .spaces import (
     prizes_factor_space,
 )
 
-#: Cap on the candidate active sets C(n + k, n - 1), checked before any solve.
+#: Cap on C(n + k, n - 1), the active-set count that bounds every vertex list.
 ENUMERATION_BUDGET = 200_000
 
 
@@ -139,8 +136,19 @@ def enumerate_vertices(
     y / sum(y) with gcd(y) = 1, the denominator the lcm of the sums; a
     prime power dividing it divides some sum s as far, so that row
     y * (lcm / s) has an entry prime to it.  Empty when no vertex exists.
-    Raises ResourceLimitError, before any solve, when the candidate count
-    C(n + k, n - 1) exceeds ENUMERATION_BUDGET.
+
+    The vertices are the extreme rays y of {p >= 0, G p >= 0}, found by
+    double description: from the n unit rays, each row g keeps the rays
+    with g.y >= 0 and adds s+ y- - s- y+ (over its gcd) on each edge from
+    a ray with g.y = s+ > 0 to one with g.y = s- < 0.  By the adjacency
+    lemma (Motzkin et al. 1953; Fukuda & Prodon 1996) these are all the
+    new extreme rays, and two rays span an edge iff the rows vanishing on
+    both, at least n - 2 of them, vanish on no third ray.
+
+    Raises ResourceLimitError, before any arithmetic, when C(n + k, n - 1)
+    exceeds ENUMERATION_BUDGET.  A vertex solves n - 1 active rows and
+    sum p = 1, so the first i rows leave at most C(n + i, n - 1) <=
+    C(n + k, n - 1) vertices: the check bounds every ray list too.
     """
     n = space.n_cells
     for g in constraints:
@@ -153,43 +161,32 @@ def enumerate_vertices(
             f"vertex enumeration in dimension {n} with {k} constraint(s) "
             f"tries {candidates} active sets, over the budget of {ENUMERATION_BUDGET}"
         )
-    # positive integer rescaling keeps every sign and every zero set
-    rows = [_integer_row(g.flat())[0] for g in constraints]
-    # each row's cells of either strict sign, as bit masks
-    pos = [sum(1 << j for j, x in enumerate(r) if x > 0) for r in rows]
-    neg = [sum(1 << j for j, x in enumerate(r) if x < 0) for r in rows]
-    # c constraint rows and n - 1 - c unit rows p_j = 0 leave the c rows and
-    # sum p = 1 over c + 1 free cells; the determinant is +- the full one's
-    seen = {}  # each vertex's row in lowest terms, and its sum
-    for c in range(min(k, n - 1) + 1):
-        for picked in itertools.combinations(range(k), c):
-            chosen = [rows[i] for i in picked]
-            masks = [m for i in picked for m in (pos[i], neg[i])]
-            for free in itertools.combinations(range(n), c + 1):
-                fmask = sum(1 << j for j in free)
-                # a chosen row of one strict sign on every free cell vanishes
-                # at no p >= 0 with sum p = 1 there: the solve could only
-                # give a point the sign test rejects
-                if any(m & fmask == fmask for m in masks):
+    # (ray, zero set): unit row j is bit j, constraint row i is bit n + i
+    full = (1 << n) - 1
+    rays = [([int(i == j) for i in range(n)], full ^ (1 << j)) for j in range(n)]
+    for i, g in enumerate(constraints):
+        # positive integer rescaling keeps every sign and every zero set
+        row = _integer_row(g.flat())[0]
+        bit = 1 << (n + i)
+        signed = [(r, z, sum(map(operator.mul, row, r))) for r, z in rays]
+        rays = [(r, z if s else z | bit) for r, z, s in signed if s >= 0]
+        neg = [t for t in signed if t[2] < 0]
+        for rp, zp, sp in [t for t in signed if t[2] > 0]:
+            for rn, zn, sn in neg:
+                z = zp & zn
+                # zero sets of distinct extreme rays are incomparable, so
+                # only the pair itself holds z
+                if z.bit_count() < n - 2 or any(
+                    m & z == z and m != zp and m != zn for _, m, _ in signed
+                ):
                     continue
-                system = [[1] * (c + 2)] + [[r[j] for j in free] + [0] for r in chosen]
-                sol = _bareiss_solve(system)
-                if sol is None:
-                    continue
-                y, d = sol
-                if d < 0:
-                    y = [-v for v in y]
-                if any(v < 0 for v in y):
-                    continue
-                if any(sum(r[j] * v for j, v in zip(free, y)) < 0 for r in rows):
-                    continue
-                g = math.gcd(*y)
-                row = [0] * n
-                for j, v in zip(free, y):
-                    row[j] = v // g
-                seen[tuple(row)] = sum(row)
-    den = math.lcm(*seen.values())
-    return tuple(sorted([tuple([x * (den // s) for x in r]) for r, s in seen.items()]))
+                y = [sp * a - sn * b for a, b in zip(rn, rp)]
+                d = math.gcd(*y)
+                rays.append(([v // d for v in y], z | bit))
+    sums = [sum(r) for r, _ in rays]
+    den = math.lcm(*sums)
+    rows = [tuple([x * (den // s) for x in r]) for (r, _), s in zip(rays, sums)]
+    return tuple(sorted(rows))
 
 
 def _hull_lp(points: Sequence[Sequence], target: Sequence) -> LpOutcome:
@@ -309,8 +306,9 @@ class CredalSet:
         every vertex satisfies every constraint, and on each canonical
         direction h (plus or minus a unit cell or a constraint row) the
         H-form minimum equals the vertex minimum t.  Completeness comes
-        from the sweep itself: every vertex is the unique solution of n
-        independent active rows, and the sweep tries every such choice.
+        from the enumeration itself: by the adjacency lemma every
+        double-description cut keeps each old vertex on its side and adds
+        a ray on every edge it crosses, so no vertex is missed.
 
         The vertices are feasible, so the H-form minimum is at most t.  A
         dual y >= 0 with h - t - sum y_k g_k >= 0 on every cell proves it
@@ -336,14 +334,15 @@ class CredalSet:
         cvals = [[sum(map(operator.mul, r, g)) for r in rows] for g in gs]
         if any(min(vals) < 0 for vals in cvals):
             raise InternalError("enumerated vertex violates a constraint")
+        supports = [[j for j, x in enumerate(r) if x] for r in rows]
+        tights = [[k for k in distinct if not cvals[k][i]] for i in range(len(rows))]
 
         def certified(h, vals) -> bool:
             lo = min(vals)  # t = lo / den
             if all(x * den >= lo for x in h):
                 return True
             for i in [i for i, v in enumerate(vals) if v == lo]:
-                support = [j for j, x in enumerate(rows[i]) if x]
-                tight = [k for k in distinct if not cvals[k][i]]
+                support, tight = supports[i], tights[i]
                 if len(tight) != len(support) - 1:
                     continue  # degenerate, or no vertex at all
                 sol = _bareiss_solve(

@@ -2,9 +2,10 @@
 
 The product oracles enumerate vertex combinations directly, with no hull
 construction and no LP; the family oracle enumerates block subsets with
-one LP each; the vertex oracle solves every full n x n active-set system
-in Fractions; the extreme-point oracle drops, one at a time, every point
-in the hull of all the others, with one LP over all of them each; the
+one LP each; the vertex oracles solve every full n x n active-set system
+in Fractions, or every reduced one in integers (the active-set sweep);
+the extreme-point oracle drops, one at a time, every point in the hull
+of all the others, with one LP over all of them each; the
 double-inclusion oracle solves the H-form LP in every canonical direction
 and both senses; the augmented-set oracles solve the open part of
 posi(strict + border rays) as LPs with one row per credal vertex, border
@@ -25,7 +26,12 @@ import itertools
 import math
 from fractions import Fraction
 
-from desir.credal import ENUMERATION_BUDGET, LinearPrevision
+from desir.credal import (
+    ENUMERATION_BUDGET,
+    LinearPrevision,
+    _bareiss_solve,
+    _integer_row,
+)
 from desir.errors import InternalError, ResourceLimitError
 from desir.lp import (
     EQ,
@@ -257,6 +263,53 @@ def enumerate_vertices_bruteforce(space, constraints):
             continue
         seen.add(tuple(sol))
     return tuple(sorted(seen))
+
+
+def enumerate_vertices_sweep(space, constraints):
+    """The active-set sweep: ``enumerate_vertices``'s output, found by
+    trying every vertex as the unique solution of n - 1 active rows plus
+    sum p = 1.  A choice of c constraint rows leaves c + 1 free cells (the
+    chosen unit rows p_j = 0 pin the rest), so each candidate is a
+    (c + 1)-square integer Bareiss system, filtered for feasibility.  A
+    candidate whose chosen row has one strict sign on every free cell is
+    skipped before its solve.  Same candidate budget as the kernel."""
+    n = space.n_cells
+    k = len(constraints)
+    if math.comb(n + k, n - 1) > ENUMERATION_BUDGET:
+        raise ResourceLimitError("over the enumeration budget")
+    rows = [_integer_row(g.flat())[0] for g in constraints]
+    # each row's cells of either strict sign, as bit masks
+    pos = [sum(1 << j for j, x in enumerate(r) if x > 0) for r in rows]
+    neg = [sum(1 << j for j, x in enumerate(r) if x < 0) for r in rows]
+    seen = {}  # each vertex's row in lowest terms, and its sum
+    for c in range(min(k, n - 1) + 1):
+        for picked in itertools.combinations(range(k), c):
+            chosen = [rows[i] for i in picked]
+            masks = [m for i in picked for m in (pos[i], neg[i])]
+            for free in itertools.combinations(range(n), c + 1):
+                fmask = sum(1 << j for j in free)
+                # a chosen row of one strict sign on every free cell vanishes
+                # at no p >= 0 with sum p = 1 there
+                if any(m & fmask == fmask for m in masks):
+                    continue
+                system = [[1] * (c + 2)] + [[r[j] for j in free] + [0] for r in chosen]
+                sol = _bareiss_solve(system)
+                if sol is None:
+                    continue
+                y, d = sol
+                if d < 0:
+                    y = [-v for v in y]
+                if any(v < 0 for v in y):
+                    continue
+                if any(sum(r[j] * v for j, v in zip(free, y)) < 0 for r in rows):
+                    continue
+                g = math.gcd(*y)
+                row = [0] * n
+                for j, v in zip(free, y):
+                    row[j] = v // g
+                seen[tuple(row)] = sum(row)
+    den = math.lcm(*seen.values())
+    return tuple(sorted([tuple([x * (den // s) for x in r]) for r, s in seen.items()]))
 
 
 def _hull_contains(vertices, point):

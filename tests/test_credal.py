@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import desir.credal
 from desir.credal import (
     CredalSet,
     LinearPrevision,
@@ -21,6 +23,7 @@ from oracles import (
     check_double_inclusion_lp,
     conditional_natural_extension_scan,
     enumerate_vertices_bruteforce,
+    enumerate_vertices_sweep,
     extreme_points_bruteforce,
     generalized_bayes_scan,
     lower_probability_scan,
@@ -31,7 +34,8 @@ from oracles import (
 
 COIN = Space(("h", "t"), ("x",))
 TRI = Space(("a", "b", "c"), ("x",))
-LADDER = Path(__file__).parent.parent / "bench" / "data" / "vertex-ladder"
+BENCH_DATA = Path(__file__).parent.parent / "bench" / "data"
+LADDER = BENCH_DATA / "vertex-ladder"
 
 
 def g(space, rows):
@@ -111,6 +115,74 @@ def test_enumeration_matches_full_system_bruteforce(rng):
     cons = [Gamble.zero(over)] * 6
     for enumerator in (_kernel_masses, enumerate_vertices_bruteforce):
         assert _masses_or_limit(enumerator, over, cons) == "over budget"
+
+
+def _dd_case(rng):
+    """At most 4x4 cells and four rows: random rows, zero rows, repeated
+    rows, positive multiples of an earlier row and negated earlier rows
+    (an equality with that row)."""
+    space = rand_space(rng, max_states=4, max_prizes=4, worst=False)
+    cons = []
+    for _ in range(rng.randint(0, 4)):
+        pick = rng.random()
+        if pick < 0.1:
+            cons.append(Gamble.zero(space))
+        elif pick < 0.2 and cons:
+            cons.append(rng.choice(cons))
+        elif pick < 0.3 and cons:
+            cons.append(rng.choice(cons).scale(F(rng.randint(2, 5), rng.randint(1, 3))))
+        elif pick < 0.45 and cons:
+            cons.append(-rng.choice(cons))
+        else:
+            cons.append(rand_gamble(rng, space))
+    return space, cons
+
+
+def test_double_description_matches_the_sweep(rng):
+    """Double description gives the active-set sweep's rows exactly."""
+    one = Space(("w",), ("x",))
+    seeded = Space(("a", "b", "c", "d"), ("w", "x", "y", "z"))
+    seeded_rng = random.Random(3)
+    h = g(COIN, [[1], [-2]])
+    cases = [
+        (one, []),
+        (one, [g(one, [[1]])]),
+        (one, [g(one, [[-1]])]),
+        (one, [Gamble.zero(one), g(one, [[2]])]),
+        (COIN, [h, -h]),
+        (COIN, [h, h.scale(3), -h]),
+        (TRI, [g(TRI, [[-1], [-1], [-F(1, 2)]])]),
+        (seeded, [rand_gamble(seeded_rng, seeded) for _ in range(4)]),
+    ]
+    cases.extend(_dd_case(rng) for _ in range(50))
+    sizes = []
+    for space, cons in cases:
+        rows = enumerate_vertices(space, cons)
+        assert rows == enumerate_vertices_sweep(space, cons)
+        sizes.append(len(rows))
+    assert sizes[:7] == [1, 1, 0, 1, 1, 1, 0]
+    assert sizes[7] == 918  # the seeded 4x4 set of ROADMAP item 4
+    assert sum(map(bool, sizes)) >= 40 and 0 in sizes[8:], sizes
+
+
+@pytest.mark.parametrize(
+    "workload, calls, vertices",
+    [("fg-strict-batch", 1, 74), ("vertex-ladder", 9, 182), ("augmented-cond", 1, 29)],
+)
+def test_bench_parse_enumerates_the_traced_work(monkeypatch, workload, calls, vertices):
+    """Parsing the committed documents makes the enumeration calls, and
+    finds the vertices, that the tracer's credal.enumerate metrics count."""
+    found = []
+
+    def counting(space, constraints, real=desir.credal.enumerate_vertices):
+        rows = real(space, constraints)
+        found.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(desir.credal, "enumerate_vertices", counting)
+    for path in sorted((BENCH_DATA / workload).glob("*.doc.txt")):
+        parse_document(path.read_text())
+    assert (len(found), sum(found)) == (calls, vertices)
 
 
 def _self_check_case(rng):
