@@ -22,8 +22,9 @@ numerators over the gamble's own lcm, takes one integer dot product per
 vertex, compares by integer (cross-)multiplication and builds a single
 Fraction at the end, so every answer is the exact rational the Fraction
 scan gives, at machine-integer cost per vertex.  Enumeration, pruning
-and products work on these rows too; linear previsions are built only at
-the boundary: from outside input, and as the vertex list, on first use.
+(which marginals enter with integer column sums) and products work on
+these rows too; linear previsions are built only at the boundary: from
+outside input, and as the vertex list, on first use.
 
 Vertex enumeration is integer double description (Motzkin et al. 1953):
 the vertices are the extreme rays of {p >= 0, G p >= 0} scaled to sum
@@ -236,9 +237,16 @@ class CredalSet:
         return cs
 
     @staticmethod
-    def from_vertices(space: Space, masses: Sequence) -> "CredalSet":
+    def from_vertices(
+        space: Space, masses: Sequence, den: Optional[int] = None
+    ) -> "CredalSet":
         """The convex hull of finitely many previsions, kept as its extreme
         points in lexicographic order.
+
+        The boundary checks the masses and makes one integer matrix; with
+        ``den``, ``masses`` are such rows (the marginals' column sums).  The
+        core raises InternalError unless each row is nonnegative and sums to
+        ``den``, and sorts the distinct rows in lowest terms.
 
         Clarkson's output-sensitive pruning.  The distinct points are
         tested in order against E, the extreme points found so far, with
@@ -250,25 +258,29 @@ class CredalSet:
         an extreme point of their hull, and an extreme point of a face is
         one of the polytope.  It joins E and the point is tested again.
         Every LP has at most h - 1 columns, h the number of vertices kept,
-        and there are fewer LPs than points.  The points are brought to
-        one denominator once: hull LPs take integer columns, the maximiser
-        is an integer argmax, and one gcd puts the kept rows in lowest terms.
+        and there are fewer LPs than points.  Hull LPs take the integer rows
+        as they are, the maximiser is an integer argmax, and one gcd puts
+        the kept rows in lowest terms.
         """
-        points = set()
-        for m in masses:
-            if isinstance(m, LinearPrevision):
-                if m.space != space:
-                    raise InputError("vertex on the wrong space")
-                mass = m.mass
-            else:
-                mass = tuple([rat(v) for v in m])
-                _check_mass(space, mass)
-            points.add(mass)
-        den = math.lcm(*[x.denominator for p in points for x in p])
-        rows = sorted(
-            [tuple([x.numerator * (den // x.denominator) for x in p]) for p in points]
-        )
+        if den is None:
+            points = []
+            for m in masses:
+                if isinstance(m, LinearPrevision):
+                    if m.space != space:
+                        raise InputError("vertex on the wrong space")
+                    mass = m.mass
+                else:
+                    mass = tuple([rat(v) for v in m])
+                    _check_mass(space, mass)
+                points.append(mass)
+            den = math.lcm(*[x.denominator for p in points for x in p])
+            masses = [[x.numerator * (den // x.denominator) for x in p] for p in points]
         n = space.n_cells
+        if any(len(r) != n or min(r) < 0 or sum(r) != den for r in masses):
+            raise InternalError("hull points are not masses over their denominator")
+        g = math.gcd(den, *itertools.chain.from_iterable(masses))
+        rows = sorted({tuple([x // g for x in r]) for r in masses})
+        den //= g
         kept: list[int] = []
         is_kept = [False] * len(rows)
         for i, row in enumerate(rows):
@@ -366,8 +378,8 @@ class CredalSet:
         units = (
             ([int(i == j) for i in range(n)], [r[j] for r in rows]) for j in range(n)
         )
-        cons = [(list(g.flat()), GE, Fraction(0)) for g in self.constraints]
-        cons.append(([Fraction(1)] * n, EQ, Fraction(1)))
+        cons = [(list(g.flat()), GE, 0) for g in self.constraints]
+        cons.append(([1] * n, EQ, 1))
         for h, vals in itertools.chain(units, zip(gs, cvals)):
             # the maximum of h is minus the minimum of -h
             for d, dvals in ((h, vals), ([-x for x in h], [-v for v in vals])):
@@ -487,16 +499,11 @@ class CredalSet:
     # -- marginals ----------------------------------------------------
 
     def marginal_omega(self) -> "CredalSet":
-        m, cells, den = self.space.n_prizes, self.space.n_cells, self.den
-        masses = [
-            [Fraction(sum(row[i : i + m]), den) for i in range(0, cells, m)]
-            for row in self.rows
-        ]
-        return CredalSet.from_vertices(omega_factor_space(self.space), masses)
+        m, cells = self.space.n_prizes, self.space.n_cells
+        sums = [[sum(row[i : i + m]) for i in range(0, cells, m)] for row in self.rows]
+        return CredalSet.from_vertices(omega_factor_space(self.space), sums, self.den)
 
     def marginal_prizes(self) -> "CredalSet":
-        m, den = self.space.n_prizes, self.den
-        masses = [
-            [Fraction(sum(row[j::m]), den) for j in range(m)] for row in self.rows
-        ]
-        return CredalSet.from_vertices(prizes_factor_space(self.space), masses)
+        m = self.space.n_prizes
+        sums = [[sum(row[j::m]) for j in range(m)] for row in self.rows]
+        return CredalSet.from_vertices(prizes_factor_space(self.space), sums, self.den)

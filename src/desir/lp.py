@@ -5,14 +5,15 @@ kernel never touches floating point: strict-versus-weak inequality
 distinctions (``> 0`` against ``= 0``) carry all the semantics upstream,
 so every pivot, every ratio test and every certificate is exact.
 
-Scalars are ``fractions.Fraction`` (aliased ``Rat``).  Internally the
-tableau is integer and pivots are fraction-free (Bareiss): each entry is
-a minor of the integer start matrix, so its size stays polynomial in the
-input and every pivot divides exactly, with no gcd.  Each row keeps its
-own positive denominator; a row a pivot leaves alone is not rescaled
-until a later pivot touches it (see :func:`_pivot`).  The problem goes
-into integer rows in one pass (:func:`_standard_form`), with no
-Fraction-valued intermediate copy of the standard form.
+Inputs are ints or Fractions (``Rat``), kept as given; floats are
+rejected.  Internally the tableau is integer and pivots are
+fraction-free (Bareiss): each entry is a minor of the integer start
+matrix, so its size stays polynomial in the input and every pivot
+divides exactly, with no gcd.  Each row keeps its own positive
+denominator; a row a pivot leaves alone is not rescaled until a later
+pivot touches it (see :func:`_pivot`).  The problem goes into integer
+rows in one pass (:func:`_standard_form`), so an all-integer problem
+builds no Fraction before its outcome.
 
 Pivoting uses Bland's rule (smallest eligible index), so the solver
 terminates on every input and two runs on the same problem produce
@@ -60,6 +61,11 @@ def rat(value) -> Rat:
     return Fraction(value)
 
 
+def _exact(value) -> Rat:
+    """An int or a Fraction as given; anything else through :func:`rat`."""
+    return value if type(value) is int or type(value) is Fraction else rat(value)
+
+
 @dataclass(frozen=True)
 class LinearConstraint:
     coeffs: tuple[Rat, ...]
@@ -75,8 +81,9 @@ class LinearConstraint:
 class LpProblem:
     """max/min c.x subject to rows (a.x rel b) and per-variable bounds.
 
-    ``bounds[j]`` is a pair (lower, upper); ``None`` means unbounded on
-    that side.  The default bound is (0, None).
+    Numbers are ints or Fractions, stored as given; ``build`` rejects
+    floats.  ``bounds[j]`` is a pair (lower, upper); ``None`` means
+    unbounded on that side.  The default bound is (0, None).
     """
 
     objective: tuple[Rat, ...]
@@ -95,21 +102,24 @@ class LpProblem:
         # tuples of the final size, while a tuple grown from a generator is
         # resized into place and, once freed, parks in that free list until
         # a full collection, which raises peak memory.
-        obj = tuple([rat(c) for c in objective])
+        obj = tuple([_exact(c) for c in objective])
         rows = tuple(
             [
-                LinearConstraint(tuple([rat(a) for a in coeffs]), rel, rat(rhs))
+                LinearConstraint(tuple([_exact(a) for a in coeffs]), rel, _exact(rhs))
                 for coeffs, rel, rhs in constraints
             ]
         )
         if bounds is None:
             bnds: tuple[tuple[Optional[Rat], Optional[Rat]], ...] = (
-                (Fraction(0), None),
+                (0, None),
             ) * len(obj)
         else:
             bnds = tuple(
                 [
-                    (None if lo is None else rat(lo), None if hi is None else rat(hi))
+                    (
+                        None if lo is None else _exact(lo),
+                        None if hi is None else _exact(hi),
+                    )
                     for lo, hi in bounds
                 ]
             )
@@ -132,8 +142,8 @@ class LpProblem:
             ([col[c] for col in columns], relation, t) for c, t in enumerate(target)
         ]
         if convex:
-            cons.append(([Fraction(1)] * k, EQ, Fraction(1)))
-        return LpProblem.build([Fraction(0)] * k, "max", cons)
+            cons.append(([1] * k, EQ, 1))
+        return LpProblem.build([0] * k, "max", cons)
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
@@ -191,9 +201,10 @@ def _standard_form(problem: LpProblem):
         cols.append((n_struct, lo))
         n_struct += 1 if lo is not None else 2
 
+    shifted = [(j, lo) for j, (_, lo) in enumerate(cols) if lo]
+
     def shift(coeffs):
-        pairs = zip(coeffs, cols)
-        return sum((a * lo for a, (_, lo) in pairs if a and lo), Fraction(0))
+        return sum([coeffs[j] * lo for j, lo in shifted], 0)
 
     specs = [
         (con.coeffs, con.relation, con.rhs - shift(con.coeffs))
@@ -209,10 +220,7 @@ def _standard_form(problem: LpProblem):
     n_cols = n_struct + sum(rel != EQ for _, rel, _ in specs)
 
     def integer_row(coeffs, rhs, sign):
-        den = rhs.denominator
-        for a in coeffs:
-            if a:
-                den = lcm(den, a.denominator)
+        den = lcm(rhs.denominator, *[a.denominator for a in coeffs])
         row = [0] * (n_cols + 1)
         for a, (col, lo) in zip(coeffs, cols):
             if a:
@@ -382,7 +390,7 @@ def solve(problem: LpProblem) -> LpOutcome:
         if col < n_cols:
             x[col] = Fraction(tab[i][-1], dens[i])
     witness = tuple(
-        [x[col] - x[col + 1] if lo is None else x[col] + lo for col, lo in cols]
+        [x[c] - x[c + 1] if lo is None else x[c] + lo if lo else x[c] for c, lo in cols]
     )
     # The min-form row's right-hand side reads minus its current value.
     optimum = Fraction(0)

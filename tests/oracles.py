@@ -346,25 +346,36 @@ def check_double_inclusion_lp(credal):
     """The enumeration self-check by LPs: every vertex satisfies every
     constraint, and on each canonical direction (coordinates and
     constraint rows) the H-form LP optimum equals the vertex extreme, in
-    both senses.  Raises InternalError otherwise; 2(n + k) LPs."""
+    both senses.  Raises InternalError otherwise; 2(n + k) LPs.
+
+    All in integers: each constraint row is scaled by the lcm of its
+    denominators (a positive scaling, so the same H-form set), and each
+    direction's vertex values are computed once, as numerators over the
+    vertex denominator, from the rows of the vertex matrix."""
     n = credal.space.n_cells
-    directions = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    rows, den = credal.rows, credal.den
+    gs = []
     for g in credal.constraints:
-        if any(_vertex_value(v, g) < 0 for v in credal.vertices):
+        flat = g.flat()
+        scale = math.lcm(*[x.denominator for x in flat])
+        gs.append([x.numerator * (scale // x.denominator) for x in flat])
+    # (direction, every vertex's value of it as a numerator over den)
+    directions = [
+        ([int(i == j) for i in range(n)], [r[j] for r in rows]) for j in range(n)
+    ]
+    for g in gs:
+        vals = [sum([x * c for x, c in zip(r, g)]) for r in rows]
+        if min(vals) < 0:
             raise InternalError("enumerated vertex violates a constraint")
-        directions.append(list(g.flat()))
-    cons = [(list(g.flat()), GE, Fraction(0)) for g in credal.constraints]
-    cons.append(([Fraction(1)] * n, EQ, Fraction(1)))
-    for d in directions:
-        vals = [
-            sum((x * c for x, c in zip(v.mass, d)), Fraction(0))
-            for v in credal.vertices
-        ]
+        directions.append((g, vals))
+    cons = [(g, GE, 0) for g in gs]
+    cons.append(([1] * n, EQ, 1))
+    for d, vals in directions:
         for sense, ext in (("max", max(vals)), ("min", min(vals))):
             out = solve(LpProblem.build(d, sense, cons))
             if out.status != OPTIMAL:
                 raise InternalError("H-polytope optimisation failed")
-            if ext != out.optimum:
+            if Fraction(ext, den) != out.optimum:
                 raise InternalError("H-form and V-form disagree on a support direction")
 
 

@@ -16,7 +16,7 @@ from desir.credal import (
 from desir.document import parse_document
 from desir.errors import InputError, InternalError, ModelError, ResourceLimitError
 from desir.products import product_prevision, strong_product
-from desir.spaces import EventSet, Gamble, Space
+from desir.spaces import EventSet, Gamble, Space, prizes_factor_space
 
 from conftest import lps_in, rand_gamble, rand_mass_row, rand_space
 from oracles import (
@@ -661,6 +661,70 @@ def test_marginals_project_vertices():
     mx = cs.marginal_prizes()
     assert sorted(v.mass for v in mx.vertices) == [(F(0), F(1)), (F(1), F(0))]
     assert not mx.is_linear()
+
+
+def _projected_hull(cs, axis):
+    """``CredalSet.from_vertices`` on the Fraction projections of every
+    vertex, state by state or prize by prize."""
+    space, m = cs.space, cs.space.n_prizes
+    if axis == "omega":
+        starts = range(0, space.n_cells, m)
+        masses = [[sum(v.mass[i : i + m], F(0)) for i in starts] for v in cs.vertices]
+        return CredalSet.from_vertices(omega_factor_space(space), masses)
+    masses = [[sum(v.mass[j::m], F(0)) for j in range(m)] for v in cs.vertices]
+    return CredalSet.from_vertices(prizes_factor_space(space), masses)
+
+
+def test_integer_marginals_match_the_fraction_projections(solved_lps):
+    """Both marginals, built from integer column sums, equal the hull of
+    the Fraction projections (the same rows and den) and solve the same
+    hull LPs: seeded H-form and V-form sets and strong products on at most
+    3x3 cells, and the three committed vertex-ladder joints."""
+    rng = random.Random(1994)
+    sets = []
+    for t in range(66):
+        space = rand_space(rng, worst=False)
+        if t % 3 == 0:
+            cons = [rand_gamble(rng, space) for _ in range(rng.randint(0, 3))]
+            try:
+                sets.append(CredalSet.from_constraints(space, cons))
+            except ModelError:
+                pass
+            continue
+        points = [rand_mass_row(rng, space.n_cells) for _ in range(rng.randint(1, 6))]
+        if t % 3 == 1:
+            sets.append(CredalSet.from_vertices(space, points))
+            continue
+        of, pf = omega_factor_space(space), prizes_factor_space(space)
+        m_omega, m_x = (
+            CredalSet.from_vertices(
+                f, [rand_mass_row(rng, f.n_cells) for _ in range(2)]
+            )
+            for f in (of, pf)
+        )
+        sets.append(strong_product(m_omega, m_x, space))
+    for path in sorted(LADDER.glob("*.doc.txt")):
+        sets.append(parse_document(path.read_text()).credals["J"])
+    counts = dict.fromkeys(("sets", "H-form", "LPs", "den shrinks", "pruned"), 0)
+    for cs in sets:
+        for axis in ("omega", "prizes"):
+            solved_lps.clear()
+            got = cs.marginal_omega() if axis == "omega" else cs.marginal_prizes()
+            kernel = lps_in(solved_lps, "credal")
+            solved_lps.clear()
+            want = _projected_hull(cs, axis)
+            assert (got.space, got.rows, got.den) == (want.space, want.rows, want.den)
+            assert kernel == lps_in(solved_lps, "credal")
+            counts["LPs"] += len(kernel)
+            counts["den shrinks"] += got.den < cs.den
+            counts["pruned"] += len(got.rows) < len(cs.rows)
+        counts["sets"] += 1
+        counts["H-form"] += cs.constraints is not None
+    assert counts["sets"] >= 50 + 3 and min(counts.values()) >= 15, counts
+    # the integer core checks its rows, as the boundary checks masses
+    for rows, den in (([[1, 2]], 2), ([[3, -1]], 2), ([[1]], 1)):
+        with pytest.raises(InternalError):
+            CredalSet.from_vertices(COIN, rows, den)
 
 
 def test_point_credal_is_linear():

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -113,6 +114,15 @@ def test_bounds_only(objective, sense, bounds, status, optimum, witness):
 def test_rejects_floats():
     with pytest.raises(InputError):
         rat(0.5)
+    # ints and Fractions are stored as given; a float anywhere still raises
+    for objective, constraints, bounds in (
+        ([1], [([0.5], LE, 1)], None),
+        ([1], [([1], LE, 0.5)], None),
+        ([1], [([1], LE, 1)], [(0, 0.5)]),
+        ([1], [], [(-0.5, None)]),
+    ):
+        with pytest.raises(InputError):
+            LpProblem.build(objective, "max", constraints, bounds)
 
 
 def test_dimension_mismatch():
@@ -378,3 +388,89 @@ def test_sparse_battery_matches_reference_simplex():
         elif out.status == INFEASIBLE:
             assert verify_farkas(prob, out.farkas)
     assert min(counts.values()) >= 100, counts
+
+
+def _integer_lp_case(rng, t):
+    """(objective, sense, constraints, bounds) with integer data only, by
+    t: a hull LP (is a target a convex combination of integer points?), a
+    cone LP, or a general problem with every bound shape."""
+    kind = t % 3
+    if kind < 2:
+        n, k = rng.randint(1, 5), rng.randint(1, 6)
+        points = [[rng.randint(0, 6) for _ in range(n)] for _ in range(k)]
+        if kind == 0:
+            # the points times W and a mixture with weights w over W: the
+            # data stay integral, and half the targets are feasible
+            weights = [rng.randint(0, 3) for _ in points]
+            weights[0] += not any(weights)
+            total = sum(weights)
+            if rng.random() < 0.5:
+                target = [sum(map(operator.mul, weights, col)) for col in zip(*points)]
+            else:
+                target = [rng.randint(0, 6 * total) for _ in range(n)]
+            points = [[total * x for x in p] for p in points]
+        else:
+            target = [rng.randint(-6, 6) for _ in range(n)]
+        rel = EQ if kind == 0 else LE
+        cons = [(list(col), rel, b) for col, b in zip(zip(*points), target)]
+        if kind == 0:
+            cons.append(([1] * k, EQ, 1))
+        cone = LpProblem.cone(points, rel, target, convex=kind == 0)
+        assert cone == LpProblem.build([0] * k, "max", cons)
+        return [0] * k, "max", cons, None
+    n, m = rng.randint(0, 5), rng.randint(0, 5)
+    bounds = []
+    for _ in range(n):
+        lo = rng.choice([0, None, rng.randint(-4, -1), rng.randint(1, 3)])
+        hi = rng.choice([None, rng.randint(-2, 5)])
+        if lo is not None and hi is not None:
+            hi = lo + rng.randint(0, 4)
+        bounds.append((lo, hi))
+    cons = [
+        (
+            [rng.randint(-4, 4) for _ in range(n)],
+            rng.choice([LE, GE, EQ]),
+            rng.randint(-5, 5),
+        )
+        for _ in range(m)
+    ]
+    objective = [rng.randint(-4, 4) for _ in range(n)]
+    return objective, rng.choice(["max", "min"]), cons, bounds
+
+
+def _in_fractions(objective, sense, cons, bounds):
+    """The same problem data with every number a Fraction."""
+
+    def frac(v):
+        return None if v is None else F(v)
+
+    return (
+        [F(c) for c in objective],
+        sense,
+        [([F(a) for a in row], rel, F(b)) for row, rel, b in cons],
+        None if bounds is None else [(frac(lo), frac(hi)) for lo, hi in bounds],
+    )
+
+
+def test_integer_and_fraction_data_solve_alike():
+    """An LP built from ints keeps them, and solves to the very outcome
+    (status, witness, optimum, Farkas vector, reprs included) of the same
+    LP built from Fractions: hull and cone LPs on random integer points,
+    and general problems with integer data and every bound shape."""
+    import random
+
+    rng = random.Random(2207)
+    seen = set()
+    for t in range(300):
+        objective, sense, cons, bounds = _integer_lp_case(rng, t)
+        ints = LpProblem.build(objective, sense, cons, bounds)
+        stored = [*ints.objective, *(a for c in ints.constraints for a in c.coeffs)]
+        stored += [c.rhs for c in ints.constraints]
+        stored += [v for pair in ints.bounds for v in pair if v is not None]
+        assert all(type(v) is int for v in stored)
+        fracs = LpProblem.build(*_in_fractions(objective, sense, cons, bounds))
+        out = solve(ints)
+        assert repr(out) == repr(solve(fracs))
+        seen.add((t % 3, out.status))
+    assert seen >= {(0, OPTIMAL), (0, INFEASIBLE), (1, OPTIMAL), (1, INFEASIBLE)}
+    assert {(2, OPTIMAL), (2, INFEASIBLE), (2, UNBOUNDED)} <= seen
