@@ -6,12 +6,13 @@ distinctions (``> 0`` against ``= 0``) carry all the semantics upstream,
 so every pivot, every ratio test and every certificate is exact.
 
 Inputs are ints or Fractions (``Rat``), kept as given; floats are
-rejected.  Internally the tableau is integer and pivots are
-fraction-free (Bareiss): each entry is a minor of the integer start
-matrix, so its size stays polynomial in the input and every pivot
-divides exactly, with no gcd.  Each row keeps its own positive
-denominator; a row a pivot leaves alone is not rescaled until a later
-pivot touches it (see :func:`_pivot`).  The problem goes into integer
+rejected.  Internally the simplex keeps an integer dictionary: a row
+stores its nonbasic columns only, a basic column being known without
+storage, and pivots are fraction-free (Bareiss): each entry is a minor
+of the integer start matrix, so its size stays polynomial in the input
+and every pivot divides exactly, with no gcd.  Each row keeps its own
+positive denominator; a row a pivot leaves alone is not rescaled until
+a later pivot touches it (see :func:`_pivot`).  The problem goes into integer
 rows in one pass (:func:`_standard_form`), so an all-integer problem
 builds no Fraction before its outcome.
 
@@ -24,7 +25,9 @@ starts without re-expressing it.
 Outcomes carry certificates: an optimal witness that satisfies every
 constraint exactly, or, on infeasibility, Farkas multipliers y for the
 rows of the internal equality form (:func:`_standard_form`), with
-y.A <= 0 componentwise and y.b > 0.
+y.A <= 0 componentwise and y.b > 0.  They are read off the phase-1 row,
+at each row's slack or, on an ``=`` row, its artificial: the only
+artificial columns a pivot keeps.
 """
 
 from __future__ import annotations
@@ -248,17 +251,22 @@ def _standard_form(problem: LpProblem):
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free (Bareiss) tableau
+# Fraction-free (Bareiss) dictionary
 #
 # ``rows[i]`` holds integers whose values are ``rows[i][j] / dens[i]``.  Row
 # layout: m constraint rows, then the objective rows, which pivots update
-# but never pick.  Column layout: structural + slack + artificial columns,
-# and the right-hand side last.
+# but never pick.  A row stores only the nonbasic columns, then the
+# right-hand side; ``labels[j]`` names stored column j's variable:
+# structural and slack variables below n_cols, row i's artificial
+# n_cols + i.  A basic column is implicit: dens[i] on its row, 0 elsewhere.
+# Artificials start basic; one that leaves keeps its column only on an
+# ``=`` row, for the Farkas vector (see :func:`solve`).
 # ---------------------------------------------------------------------------
 
 
-def _pivot(rows: list[list[int]], dens: list[int], r: int, c: int, d: int) -> int:
-    """Pivot on (r, c), ``d`` being the previous pivot; returns the new one.
+def _pivot(rows, dens, labels, basis, r, c, d, drop) -> int:
+    """Exchange basis[r] with stored column c's variable, ``d`` being the
+    previous pivot; returns the new one.
 
     Bareiss maps every other row to ``(p * row - f * pivot_row) // d``, p
     the pivot and f the row's entry in column c, all rows then over p.
@@ -269,6 +277,8 @@ def _pivot(rows: list[list[int]], dens: list[int], r: int, c: int, d: int) -> in
     the product telescopes to d / dens[i], so ``v * d // dens[i]`` is
     exact.  The pivot row is brought over d that way; a touched row takes
     the scale into its step, ``(p * row - f * pivot_row) // dens[i]``.
+    Column c then holds the leaving variable, d on the scaled pivot row and
+    0 elsewhere before the step, or is deleted if that variable is in drop.
     """
     piv_row = rows[r]
     if dens[r] != d:
@@ -278,35 +288,38 @@ def _pivot(rows: list[list[int]], dens: list[int], r: int, c: int, d: int) -> in
         raise InternalError("pivot on zero entry")
     if p < 0:  # only when driving an artificial out; keeps every den > 0
         piv_row = [-v for v in piv_row]
-        p = -p
+        p, d = -p, -d
+    piv_row[c] = d
     for i, row in enumerate(rows):
         f = row[c]
         if f and i != r:
+            row[c] = 0
             den = dens[i]
             rows[i] = [(p * a - f * b) // den for a, b in zip(row, piv_row)]
             dens[i] = p
-    rows[r] = piv_row
-    dens[r] = p
+    rows[r], dens[r] = piv_row, p
+    basis[r], labels[c] = labels[c], basis[r]
+    if labels[c] in drop:
+        for row in rows:
+            del row[c]
+        del labels[c]
     return p
 
 
-def _bland(
-    rows: list[list[int]], dens: list[int], basis: list[int], zrow: int, d: int
-) -> tuple[str, int]:
-    """Minimise the objective carried in row ``zrow`` over the columns
-    before the artificials; returns a status and the last pivot."""
+def _bland(rows, dens, labels, basis, zrow, d, n_cols, drop) -> tuple[str, int]:
+    """Minimise the objective carried in row ``zrow`` over the variables
+    below ``n_cols``; returns a status and the last pivot."""
     m = len(basis)
-    n_cols = len(rows[0]) - m - 1
-    cap = 2000 + 40 * len(rows[0]) * (m + 2)
+    cap = 2000 + 40 * (n_cols + m + 1) * (m + 2)
     iters = 0
     while True:
         iters += 1
         if iters > cap:
             raise InternalError("simplex iteration cap exceeded")
-        z = rows[zrow]
-        enter = next((j for j in range(n_cols) if z[j] < 0), -1)
-        if enter < 0:
+        label = min([j for j, v in zip(labels, rows[zrow]) if v < 0], default=n_cols)
+        if label >= n_cols:
             return OPTIMAL, d
+        enter = labels.index(label)
         leave = -1
         best_n = best_d = 0  # ratio best_n / best_d, both from the same row
         for i in range(m):
@@ -320,8 +333,7 @@ def _bland(
                 leave, best_n, best_d = i, bi, a
         if leave < 0:
             return UNBOUNDED, d
-        d = _pivot(rows, dens, leave, enter, d)
-        basis[leave] = enter
+        d = _pivot(rows, dens, labels, basis, leave, enter, d, drop)
 
 
 def solve(problem: LpProblem) -> LpOutcome:
@@ -330,9 +342,9 @@ def solve(problem: LpProblem) -> LpOutcome:
     m = len(rows)
     n_cols = art0 = len(z2) - 1
 
-    # Row i is taken times den_i, its unit artificial column standing for
-    # den_i times the original artificial.  Phase 1 still minimises the sum
-    # of the original artificials: minus the sum of the rows over their
+    # Row i is taken times den_i, its artificial standing for den_i times
+    # the original artificial.  Phase 1 still minimises the sum of the
+    # original artificials: minus the sum of the rows over their
     # denominators, an integer row over their lcm, zero on the artificials.
     lcm_den = lcm(*row_dens)
     z1 = [0] * (n_cols + 1)
@@ -341,30 +353,30 @@ def solve(problem: LpProblem) -> LpOutcome:
         for j, v in enumerate(row):
             if v:
                 z1[j] -= v * scale
+    # Phase-1 duality: y_i = 1 - den_i * (reduced cost of artificial i), or
+    # -sign * that of row i's slack, whose column is sign * den_i times the
+    # artificial's.  farkas[i] = (label, k, y0): y_i = y0 - k * its cost.
+    farkas = [(art0 + i, den, 1) for i, den in enumerate(row_dens)]
+    s = sum([1 if lo is not None else 2 for _, lo in cols])  # first slack
+    for i, row in enumerate(rows):
+        if s < n_cols and row[s]:
+            farkas[i] = (s, 1 if row[s] > 0 else -1, 0)
+            s += 1
+    drop = {art0 + i for i, (j, _, _) in enumerate(farkas) if j < n_cols}
 
-    def widen(row):  # room for the artificial columns, before b
-        return row[:-1] + [0] * m + row[-1:]
-
-    tab = [widen(row) for row in rows]
-    for i in range(m):
-        tab[i][art0 + i] = 1
-    tab.append(widen(z1))
     feasibility_only = not any(z2)
-    if not feasibility_only:
-        tab.append(widen(z2))
+    tab = rows + [z1] + ([] if feasibility_only else [z2])
     dens = [1] * len(tab)
+    labels = list(range(n_cols))
     basis = [art0 + i for i in range(m)]
 
-    status, d = _bland(tab, dens, basis, m, 1)
+    status, d = _bland(tab, dens, labels, basis, m, 1, n_cols, drop)
     if status != OPTIMAL:
         raise InternalError("phase 1 cannot be unbounded")
     if tab[m][-1] < 0:  # minus the phase-1 optimum
-        # Phase-1 duality: y_i = 1 - reduced cost of the original artificial
-        # i, which is den_i times that of the scaled one.  Validity
-        # (y.A <= 0, y.b > 0) holds by construction; the test suite
-        # replays it.
-        z_den = dens[m] * lcm_den
-        y = [1 - Fraction(den * v, z_den) for den, v in zip(row_dens, tab[m][art0:])]
+        # y.A <= 0 and y.b > 0 by construction; the test suite replays it.
+        z, z_den = dict(zip(labels, tab[m])), dens[m] * lcm_den
+        y = [y0 - Fraction(k * z.get(j, 0), z_den) for j, k, y0 in farkas]
         return LpOutcome(status=INFEASIBLE, farkas=tuple(y))
 
     if not feasibility_only:
@@ -374,15 +386,14 @@ def solve(problem: LpProblem) -> LpOutcome:
         for i in range(m):
             if basis[i] < art0:
                 continue
-            enter = next((j for j in range(n_cols) if tab[i][j]), -1)
-            if enter >= 0:
-                d = _pivot(tab, dens, i, enter, d)
-                basis[i] = enter
+            enter = min([j for j, v in zip(labels, tab[i]) if v], default=n_cols)
+            if enter < n_cols:
+                d = _pivot(tab, dens, labels, basis, i, labels.index(enter), d, drop)
         # The phase-2 row needs no re-expression in this basis: it starts at
         # zero on the artificial basis and rode along every pivot, and a
         # pivot zeroes the entering column in every other row, so it is zero
         # on every basic column already.
-        if _bland(tab, dens, basis, m + 1, d)[0] == UNBOUNDED:
+        if _bland(tab, dens, labels, basis, m + 1, d, n_cols, drop)[0] == UNBOUNDED:
             return LpOutcome(status=UNBOUNDED)
 
     x = [Fraction(0)] * n_cols
@@ -399,4 +410,3 @@ def solve(problem: LpProblem) -> LpOutcome:
     if problem.sense == "max":
         optimum = -optimum
     return LpOutcome(status=OPTIMAL, optimum=optimum, witness=witness)
-

@@ -3,7 +3,8 @@
 The product oracles enumerate vertex combinations directly, with no hull
 construction and no LP; the family oracle enumerates block subsets with
 one LP each; the vertex oracles solve every full n x n active-set system
-in Fractions, or every reduced one in integers (the active-set sweep);
+by fraction-free Gauss-Jordan elimination of their own, or every reduced
+one with the kernel's integer solver (the active-set sweep);
 the extreme-point oracle drops, one at a time, every point in the hull
 of all the others, with one LP over all of them each; the
 double-inclusion oracle solves the H-form LP in every canonical direction
@@ -223,45 +224,56 @@ def verify_farkas(problem, farkas):
     return all(t <= 0 for t in total[:-1]) and total[-1] > 0
 
 
-def _gauss_solve(rows, rhs):
-    """Solve a square exact system by Gauss-Jordan; None when singular."""
+def _integer_solve(rows, rhs):
+    """Solve a square integer system by fraction-free Gauss-Jordan
+    elimination: ``(nums, det)`` with x = nums / det and det > 0, or None
+    when singular.  After step k every entry is a k x k minor of the
+    row-permuted system, so each division by the previous pivot is exact;
+    at the end the matrix is det times the identity."""
     n = len(rows)
     a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    prev = 1
     for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        piv = next((i for i in range(col, n) if a[i][col]), None)
         if piv is None:
             return None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
+        a[col], a[piv] = a[piv], a[col]
+        p, pivot_row = a[col][col], a[col]
         for i in range(n):
-            if i != col and a[i][col]:
+            if i != col:
                 f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+                a[i] = [(p * v - f * w) // prev for v, w in zip(a[i], pivot_row)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [sign * row[n] for row in a], sign * prev
 
 
 def enumerate_vertices_bruteforce(space, constraints):
     """Vertex masses of {p in simplex : P(g) >= 0}, sorted: every choice of
-    n - 1 rows from the pool (unit rows p_j = 0, then the constraint rows)
-    plus sum p = 1, solved as a full n x n Fraction system and filtered
-    for feasibility.  Same candidate budget as the kernel."""
+    n - 1 rows from the pool (unit rows p_j = 0, then the constraint rows,
+    each scaled to integers by the lcm of its denominators) plus sum p = 1,
+    solved as a full n x n integer system and filtered for feasibility.
+    Same candidate budget as the kernel."""
     n = space.n_cells
-    pool = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
-    pool.extend(g.flat() for g in constraints)
+    pool = [[int(i == j) for i in range(n)] for j in range(n)]
+    for g in constraints:
+        flat = g.flat()
+        den = math.lcm(*[v.denominator for v in flat])
+        pool.append([v.numerator * (den // v.denominator) for v in flat])
     if math.comb(len(pool), n - 1) > ENUMERATION_BUDGET:
         raise ResourceLimitError("over the enumeration budget")
-    ones = [Fraction(1)] * n
+    rhs = [0] * (n - 1) + [1]
     seen = set()
     for combo in itertools.combinations(pool, n - 1):
-        rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
-        sol = _gauss_solve(list(combo) + [ones], rhs)
-        if sol is None or any(v < 0 for v in sol):
+        sol = _integer_solve(list(combo) + [[1] * n], rhs)
+        if sol is None:
             continue
-        if any(sum(c * v for c, v in zip(cf, sol)) < 0 for cf in pool[n:]):
+        nums, det = sol
+        if any(v < 0 for v in nums):
             continue
-        seen.add(tuple(sol))
+        if any(sum(c * v for c, v in zip(cf, nums)) < 0 for cf in pool[n:]):
+            continue
+        seen.add(tuple([Fraction(v, det) for v in nums]))
     return tuple(sorted(seen))
 
 

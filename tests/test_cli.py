@@ -10,6 +10,7 @@ import desir.credal
 from desir.cli import main, run_command, run_script
 from desir.document import parse_document
 from desir.errors import DesirError, InternalError, ResourceLimitError
+from desir.lp import solve
 
 from conftest import lps_in
 
@@ -479,3 +480,39 @@ def test_cross_space_condnatex_is_input_error(capsys):
     for c, g, e in cases:
         assert main(["condnatex", doc_path, c, g, e]) == 2, (c, g, e)
         assert capsys.readouterr().err.startswith("input error:")
+
+
+# LP count and sha256 of the outcomes' reprs, in call order, recorded before
+# the condensed-dictionary rewrite of the simplex: a change to any pivot
+# path, witness, optimum or Farkas vector of the benchmark's LPs shows here.
+_WORKLOAD_LPS = {
+    "fg-strict-batch": (
+        372,
+        "4d3c814cca6a594ee261ead7e9824a8f4fb5e908c6543e161b48da1d1912c103",
+    ),
+    "vertex-ladder": (
+        701,
+        "b8eede24f22ac55d3385299d4ad483c1341c4fbfc24eacbc9331d1cb0c9c288b",
+    ),
+    "augmented-cond": (
+        110,
+        "3d2e1153c8a1d11a327e40f74f4d7f519354a141abe8665dccff92b11ae9129f",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOAD_LPS))
+def test_committed_workloads_solve_the_same_lps(workload, solved_lps):
+    # each committed document parsed once and every script line run once,
+    # as one traced round of the benchmark does
+    import hashlib
+
+    for doc_path in sorted((BENCH_DATA / workload).glob("*.doc.txt")):
+        doc = parse_document(doc_path.read_text())
+        script = doc_path.with_name(doc_path.name.replace(".doc.", ".script."))
+        for line in script.read_text().splitlines():
+            if line.strip():
+                run_command(doc, line.split())
+    outcomes = [solve(problem) for _, problem in solved_lps]
+    digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
+    assert (len(outcomes), digest) == _WORKLOAD_LPS[workload]

@@ -474,3 +474,125 @@ def test_integer_and_fraction_data_solve_alike():
         seen.add((t % 3, out.status))
     assert seen >= {(0, OPTIMAL), (0, INFEASIBLE), (1, OPTIMAL), (1, INFEASIBLE)}
     assert {(2, OPTIMAL), (2, INFEASIBLE), (2, UNBOUNDED)} <= seen
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Lists of the (row, entering variable) of every pivot the kernel and
+    the reference simplex make from here on."""
+    import desir.lp
+    import oracles
+
+    kernel, reference = [], []
+    kernel_pivot, reference_pivot = desir.lp._pivot, oracles._Tableau.pivot
+
+    def in_kernel(rows, dens, labels, basis, r, c, *rest):
+        kernel.append((r, labels[c]))
+        return kernel_pivot(rows, dens, labels, basis, r, c, *rest)
+
+    def in_reference(tab, r, c):
+        reference.append((r, c))
+        return reference_pivot(tab, r, c)
+
+    monkeypatch.setattr(desir.lp, "_pivot", in_kernel)
+    monkeypatch.setattr(oracles._Tableau, "pivot", in_reference)
+    return kernel, reference
+
+
+def _check_against_reference(prob, pivots):
+    """The kernel makes the full-tableau reference simplex's pivots and
+    reaches its outcome, reprs included, and the certificate replays;
+    returns the outcome."""
+    for made in pivots:
+        made.clear()
+    out, expected = solve(prob), solve_reference(prob)
+    assert pivots[0] == pivots[1]
+    assert (out, repr(out)) == (expected, repr(expected))
+    if out.status == OPTIMAL:
+        assert verify_witness(prob, out.witness)
+        got = sum((c * x for c, x in zip(prob.objective, out.witness)), F(0))
+        assert got == out.optimum
+    elif out.status == INFEASIBLE:
+        assert verify_farkas(prob, out.farkas)
+    return out
+
+
+def _finite_upper_bounds(rng, n, empty=True):
+    """A finite upper bound on every variable; lower bounds 0, shifted or
+    none; with ``empty``, a box may be empty."""
+    bounds = []
+    for _ in range(n):
+        lo = rng.choice([F(0), rand_rat(rng, lo=-3, hi=1), None])
+        base = F(0) if lo is None else lo
+        bounds.append((lo, base + rand_rat(rng, lo=-1 if empty else 0, hi=4)))
+    return bounds
+
+
+def test_infeasible_mixed_rows_read_every_farkas_case(pivots):
+    """300 infeasible problems mixing <=, >= and = rows (some of them
+    flipped by a negative right-hand side) with a finite upper bound on
+    every variable: the Farkas vector reads slack rows (slack basic or
+    not) and = rows (artificial basic or not) alike."""
+    import random
+
+    rng = random.Random(2400)
+    found = tried = 0
+    while found < 300:
+        tried += 1
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        cons = [
+            (
+                [rand_rat(rng) if rng.random() < 0.7 else F(0) for _ in range(n)],
+                rng.choice([LE, GE, EQ]),
+                rand_rat(rng),
+            )
+            for _ in range(m)
+        ]
+        prob = LpProblem.build(
+            [rand_rat(rng) for _ in range(n)],
+            rng.choice(["max", "min"]),
+            cons,
+            _finite_upper_bounds(rng, n),
+        )
+        found += _check_against_reference(prob, pivots).status == INFEASIBLE
+    assert tried < 3 * found
+
+
+def test_redundant_equalities_keep_an_artificial_into_phase_2(pivots):
+    """60 feasible problems whose = rows include combinations of the others,
+    with a nonzero objective: phase 1 ends with artificials basic at zero,
+    and drive-out either pivots each out on its smallest real column or
+    leaves an all-zero row, before phase 2."""
+    import random
+
+    rng = random.Random(2401)
+    statuses = []
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        bounds = _finite_upper_bounds(rng, n, empty=False)
+        # a point of the box: each variable at its upper bound, its lower
+        # bound or halfway
+        point = [
+            hi if lo is None else lo + rng.choice([0, 1]) * (hi - lo) / 2
+            for lo, hi in bounds
+        ]
+        base = [
+            [F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(1, 3))
+        ]
+        rows = list(base)
+        for _ in range(rng.randint(1, 3)):
+            weights = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in base]
+            rows.append([sum(map(operator.mul, weights, col)) for col in zip(*base)])
+        cons = [(row, EQ, sum(a * x for a, x in zip(row, point))) for row in rows]
+        for _ in range(rng.randint(0, 2)):
+            row = [F(rng.randint(-2, 2)) for _ in range(n)]
+            lhs = sum(a * x for a, x in zip(row, point))
+            rel = rng.choice([LE, GE])
+            slack = rng.randint(0, 1)
+            cons.append((row, rel, lhs + slack if rel == LE else lhs - slack))
+        rng.shuffle(cons)
+        objective = [F(rng.randint(-2, 2)) for _ in range(n)]
+        objective[rng.randrange(n)] += 3
+        prob = LpProblem.build(objective, rng.choice(["max", "min"]), cons, bounds)
+        statuses.append(_check_against_reference(prob, pivots).status)
+    assert INFEASIBLE not in statuses and OPTIMAL in statuses
