@@ -11,8 +11,12 @@
 
 Every answer is exact.  Vertex scans of the credal set decide the open
 part, lower previsions, the generalized Bayes rule and the open-superset
-search (the vertex centroid) of the credal kinds.  Exact linear programs
-decide the rest: the cone LP over the rays, the residual LP, the fg
+search (the vertex centroid) of the credal kinds, and an fg set's
+previsions: by Farkas and Minkowski-Weyl its natural extension is the
+lower envelope of M_R = {P : P(g) >= 0 for each generator g} (Walley
+1991, 3.3-3.4), enumerated once per set, on first use.  Exact linear
+programs decide the rest: the cone LP over the rays, the residual LP
+(also an fg prevision when M_R is over the enumeration budget), the fg
 separating prevision, and the partial-loss LP, whose Farkas vector is
 also the open-superset witness of an fg set (Ville's alternative).
 Positive membership verdicts carry a positive-combination or
@@ -38,12 +42,13 @@ largest nu >= 0 with sum lambda_k r_k + nu 1_B <= B(f - min_B f).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .credal import CredalSet, LinearPrevision, enumerate_vertices
-from .errors import InputError, InternalError, ModelError
+from .errors import InputError, InternalError, ModelError, ResourceLimitError
 from .lp import EQ, GE, LE, OPTIMAL, LpOutcome, LpProblem, Rat, rat, solve
 from .spaces import (
     EventSet,
@@ -348,11 +353,13 @@ class DesirSet:
     # -- previsions ------------------------------------------------------
 
     def lower_prevision(self, f: Gamble) -> Rat:
-        """sup { mu : f - mu in D }; the lower envelope for credal kinds."""
+        """sup { mu : f - mu in D }, the lower envelope of the credal set (M_R
+        for fg); only an fg set over the enumeration budget solves an LP."""
         self._check_space(f)
-        if self.kind == FG:
+        credal = self._m_r if self.kind == FG else self.credal
+        if credal is None:
             return self.conditional_lower_prevision(f, EventSet.all_cells(self.space))
-        return self.credal.lower(f)
+        return credal.lower(f)
 
     def upper_prevision(self, f: Gamble) -> Rat:
         return -self.lower_prevision(-f)
@@ -416,11 +423,22 @@ class DesirSet:
         ok = all(p(b) > 0 for b in self.borders)
         return ok, p if ok else None
 
-    def credal_projection(self) -> CredalSet:
-        """The credal set of the induced lower prevision."""
-        if self.kind == FG:
+    @functools.cached_property
+    def _m_r(self) -> Optional[CredalSet]:
+        """M_R = {P : P(g) >= 0 for each generator g}, built on first use;
+        None over the enumeration budget, a test on the input size alone."""
+        try:
             return CredalSet.from_constraints(self.space, self.generators)
-        return self.credal
+        except ResourceLimitError:
+            return None
+
+    def credal_projection(self) -> CredalSet:
+        """The credal set whose lower envelope is the natural extension: M_R
+        for an fg set, built once; ResourceLimitError over the budget."""
+        if self.kind != FG:
+            return self.credal
+        # None only over the budget, where building again raises its error
+        return self._m_r or CredalSet.from_constraints(self.space, self.generators)
 
     # -- views -----------------------------------------------------------
 

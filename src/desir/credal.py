@@ -21,10 +21,13 @@ denominator, in lowest terms.  A query turns its gamble into integer
 numerators over the gamble's own lcm, takes one integer dot product per
 vertex, compares by integer (cross-)multiplication and builds a single
 Fraction at the end, so every answer is the exact rational the Fraction
-scan gives, at machine-integer cost per vertex.  Enumeration, pruning
-(which marginals enter with integer column sums) and products work on
-these rows too; linear previsions are built only at the boundary: from
-outside input, and as the vertex list, on first use.
+scan gives, at machine-integer cost per vertex.  Lower and upper
+previsions and the minimiser scan each row's nonzero columns in its own
+lowest terms, derived once: an enumerated vertex has few nonzero masses
+and a denominator of a few bits, the common one up to hundreds.
+Enumeration, pruning (which marginals enter with integer column sums)
+and products work on these rows too; linear previsions are built only at
+the boundary: from outside input, and as the vertex list, on first use.
 
 Vertex enumeration is integer double description (Motzkin et al. 1953):
 the vertices are the extreme rays of {p >= 0, G p >= 0} scaled to sum
@@ -402,14 +405,31 @@ class CredalSet:
             return all(p(g) >= 0 for g in self.constraints)
         return _hull_lp(self.rows, [x * self.den for x in p.mass]).status == OPTIMAL
 
-    def _values(self, f: Gamble) -> tuple[list[int], int]:
-        """Every vertex's P(f) as an integer numerator, and their common
-        denominator: one integer dot product per vertex."""
+    @functools.cached_property
+    def _scan(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+        """The scan form, built on first use: per row, its nonzero columns,
+        their masses and its own denominator, in the row's lowest terms."""
+        out = []
+        for row in self.rows:
+            cols = tuple([c for c, x in enumerate(row) if x])
+            g = math.gcd(self.den, *[row[c] for c in cols])
+            out.append((cols, tuple([row[c] // g for c in cols]), self.den // g))
+        return tuple(out)
+
+    def _least(self, f: Gamble, sign: int) -> tuple[int, Rat]:
+        """The first row with the least sign * P(f), and that P(f): one
+        sparse integer dot product per row, compared by cross-multiplication."""
         if f.space != self.space:
             raise InputError("gamble and prevision live on different spaces")
         nums, d = _integer_row(f.flat())
+        get = (nums if sign > 0 else [-x for x in nums]).__getitem__
         mul = operator.mul
-        return [sum(map(mul, row, nums)) for row in self.rows], self.den * d
+        best, best_num, best_den = 0, None, 1
+        for k, (cols, masses, den) in enumerate(self._scan):
+            num = sum(map(mul, masses, map(get, cols)))
+            if best_num is None or num * best_den < best_num * den:
+                best, best_num, best_den = k, num, den
+        return best, Fraction(sign * best_num, best_den * d)
 
     def _event_columns(self, event: EventSet) -> list[int]:
         if event.space != self.space:
@@ -418,12 +438,10 @@ class CredalSet:
         return [i * m + j for i, j in event.cells]
 
     def lower(self, f: Gamble) -> Rat:
-        vals, den = self._values(f)
-        return Fraction(min(vals), den)
+        return self._least(f, 1)[1]
 
     def upper(self, f: Gamble) -> Rat:
-        vals, den = self._values(f)
-        return Fraction(max(vals), den)
+        return self._least(f, -1)[1]
 
     def centroid(self) -> LinearPrevision:
         """The mean of the vertices: P(f) > 0 whenever every vertex has
@@ -436,8 +454,7 @@ class CredalSet:
     def minimizer(self, f: Gamble) -> LinearPrevision:
         """The vertex with the least P(f), ties to the smallest mass (the
         first such vertex, since the vertices are in lexicographic order)."""
-        vals, _ = self._values(f)
-        return self.vertices[vals.index(min(vals))]
+        return self.vertices[self._least(f, 1)[0]]
 
     def is_linear(self) -> bool:
         return len(self.rows) == 1

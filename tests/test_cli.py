@@ -277,6 +277,16 @@ def test_fg_scale_answers_without_its_credal_projection(monkeypatch):
         doc.desirsets["R"].credal_projection()
 
 
+def test_fg_scale_lowprev_runs_the_residual_lp(solved_lps):
+    # over the enumeration budget M_R is not built, and the natural
+    # extension is one residual cone LP
+    doc = parse_document(_fg_scale_text())
+    solved_lps.clear()
+    assert one(doc, "lowprev R n") == ["-53/44"]
+    assert [name for name, _ in solved_lps] == ["cones"]
+    assert doc.desirsets["R"]._m_r is None
+
+
 def _replay_committed(doc_path, keep):
     """Rerun the committed queries that ``keep`` selects and compare their
     answer blocks with the committed output; returns the blocks."""
@@ -482,13 +492,17 @@ def test_cross_space_condnatex_is_input_error(capsys):
         assert capsys.readouterr().err.startswith("input error:")
 
 
-# LP count and sha256 of the outcomes' reprs, in call order, recorded before
-# the condensed-dictionary rewrite of the simplex: a change to any pivot
-# path, witness, optimum or Farkas vector of the benchmark's LPs shows here.
+# LP count and sha256 of the outcomes' reprs, in call order: a change to any
+# pivot path, witness, optimum or Farkas vector of the benchmark's LPs shows
+# here.  vertex-ladder and augmented-cond were recorded before the
+# condensed-dictionary rewrite of the simplex.  fg-strict-batch was recorded
+# when fg previsions became scans of the cached M_R: its 372 cone LPs lost
+# the 120 residual LPs of `lowprev`/`upprev R`, the other 252 unchanged and
+# in order, and M_R's self-check added 3 degenerate-direction `credal` LPs.
 _WORKLOAD_LPS = {
     "fg-strict-batch": (
-        372,
-        "4d3c814cca6a594ee261ead7e9824a8f4fb5e908c6543e161b48da1d1912c103",
+        255,
+        "b7e6cd45f8d83502ff44d0995dfa9fa2eb9076a901036ce0048e4bf6582a2e0c",
     ),
     "vertex-ladder": (
         701,

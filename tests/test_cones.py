@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import desir.credal
 from desir.cones import (
     AUGMENTED,
     ConditionalAssessment,
@@ -784,6 +785,52 @@ def test_residual_sup_matches_free_variable_lp(rng):
                     cover["zero lower probability"] += low == 0
                     cover["positive lower probability"] += low > 0
     assert sum(counts.values()) >= 300 and min(cover.values()) >= 20, (counts, cover)
+
+
+def test_fg_previsions_scan_the_credal_projection(rng):
+    # An fg set's natural extension is the lower envelope of M_R = {P :
+    # P(g) >= 0 for each generator g} (the lower envelope theorem), read
+    # off the cached credal projection; the residual LP and the LP with mu
+    # free agree with every lower and upper prevision.
+    counts = dict.fromkeys(("vacuous", "one generator", "more"), 0)
+    while sum(counts.values()) < 200 or min(counts.values()) < 20:
+        d = _rand_fg(rng)
+        if d is None:
+            continue
+        k = len(d.generators)
+        counts["vacuous" if k == 0 else "one generator" if k == 1 else "more"] += 1
+        everything = EventSet.all_cells(d.space)
+        for _ in range(3):
+            f = rand_gamble(rng, d.space, lo=-3, hi=3, max_den=3)
+            for got, h in ((d.lower_prevision(f), f), (-d.upper_prevision(f), -f)):
+                assert got == _residual_sup(d.rays, h, everything)
+                assert got == residual_sup_free_lp(d.rays, h, everything)
+        assert d.credal_projection() is d.credal_projection()
+
+
+def test_fg_previsions_build_the_credal_projection_once(monkeypatch, solved_lps):
+    # 20 previsions on one enumerable fg set enumerate M_R once, on the
+    # first query, and solve no cone LP
+    space = Space(("a", "b", "c"), ("x", "y"))
+    gens = [
+        Gamble.of(space, [[1, -2], [2, 0], [-1, 1]]),
+        Gamble.of(space, [[0, 3], [-1, 1], [1, -2]]),
+        Gamble.of(space, [[-2, 1], [1, 1], [0, 0]]),
+    ]
+    d = DesirSet.from_generators(space, gens)
+    enumerations = []
+
+    def counting(*args, real=desir.credal.enumerate_vertices):
+        enumerations.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(desir.credal, "enumerate_vertices", counting)
+    solved_lps.clear()
+    for k in range(10):
+        f = Gamble.of(space, [[k - 4, 1], [2, -k], [F(k, 3), -1]])
+        assert d.lower_prevision(f) == -d.upper_prevision(-f)
+    assert len(enumerations) == 1
+    assert lps_in(solved_lps, "cones") == []
 
 
 def test_augmented_queries_lp_counts(solved_lps):

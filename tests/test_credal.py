@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import desir.credal
+from desir.cones import DesirSet
 from desir.credal import (
     CredalSet,
     LinearPrevision,
@@ -514,14 +515,37 @@ def _scan_gamble(rng, space):
     return Gamble.of(space, rows)
 
 
+def _big_projections(rng, count):
+    """``count`` credal projections of fg sets with 4-5 integer generators
+    on 3 x 3 or 4 x 3 cells whose common denominator passes 2**64, though
+    each vertex's own denominator is small: the sparse scan's lowest terms."""
+    while count:
+        space = rand_space(rng, max_states=4, max_prizes=3, worst=False)
+        if space.n_states < 3 or space.n_prizes < 3:
+            continue
+        gens = [rand_gamble(rng, space, max_den=1) for _ in range(rng.randint(4, 5))]
+        try:
+            cs = DesirSet.from_generators(space, gens).credal_projection()
+        except ModelError:
+            continue
+        if cs.den > 2**64:
+            count -= 1
+            yield cs
+
+
 def test_integer_scans_match_the_fraction_oracle(rng):
     counts = dict.fromkeys(("h-form", "v-form", "tied", "bayes", "none"), 0)
-    for t in range(200):
-        cs = _scan_case(rng, t)
+    big = dict.fromkeys(("sets", "tied"), 0)
+    cases = itertools.chain(
+        (_scan_case(rng, t) for t in range(200)), _big_projections(rng, 10)
+    )
+    for cs in cases:
         if cs is None:
             continue
         space = cs.space
         counts["h-form" if cs.constraints is not None else "v-form"] += 1
+        large = cs.den > 2**64
+        big["sets"] += large
         cells = space.cells()
         for _ in range(3):
             f = _scan_gamble(rng, space)
@@ -532,7 +556,9 @@ def test_integer_scans_match_the_fraction_oracle(rng):
                 assert type(got) is F and got == want
             assert cs.minimizer(f) == minimizer_scan(cs, f)
             lo = lower_scan(cs, f)
-            counts["tied"] += sum(v(f) == lo for v in cs.vertices) > 1
+            tied = sum(v(f) == lo for v in cs.vertices) > 1
+            counts["tied"] += tied
+            big["tied"] += large and tied
             picked = rng.sample(cells, rng.randint(1, len(cells)))
             event = EventSet(space, tuple(picked))
             got = cs.lower_probability(event)
@@ -546,6 +572,7 @@ def test_integer_scans_match_the_fraction_oracle(rng):
             got = cs.conditional_natural_extension(f, cylinder)
             assert got == conditional_natural_extension_scan(cs, f, cylinder)
     assert min(counts.values()) >= 40, counts
+    assert big["sets"] >= 10 and big["tied"] >= 5, big
 
 
 def test_scans_reject_gambles_and_events_on_another_space():
