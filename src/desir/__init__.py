@@ -1,14 +1,7 @@
 """Exact computation with desirable gambles, coherent lower previsions,
 credal sets and incomplete preferences over horse lotteries."""
 
-from .cones import (
-    ConditionalAssessment,
-    ConditionalFamilySet,
-    DesirSet,
-    MembershipVerdict,
-    avoids_partial_loss,
-    build_from_conditional_family,
-)
+from .cones import DesirSet, MembershipVerdict, avoids_partial_loss
 from .credal import CredalSet, LinearPrevision, enumerate_vertices
 from .errors import (
     DesirError,

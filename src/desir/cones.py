@@ -49,7 +49,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .credal import CredalSet, LinearPrevision, enumerate_vertices
 from .errors import InputError, InternalError, ModelError, ResourceLimitError
-from .lp import EQ, GE, LE, OPTIMAL, LpOutcome, LpProblem, Rat, rat, solve
+from .lp import EQ, GE, LE, OPTIMAL, LpOutcome, LpProblem, Rat, solve
 from .spaces import (
     EventSet,
     Gamble,
@@ -550,138 +550,3 @@ class MarginalView:
             else self.base.credal.marginal_prizes()
         )
         return DesirSet.strict(credal)
-
-
-# ---------------------------------------------------------------------------
-# Sets assessed through a family of conditional previsions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConditionalAssessment:
-    """A credal set of conditional mass functions carried by one event."""
-
-    event: EventSet
-    vertices: tuple[tuple[Rat, ...], ...]  # masses over event.cells order
-
-    def __post_init__(self):
-        if self.event.is_empty():
-            raise InputError("assessment event is empty")
-        if not self.vertices:
-            raise ModelError("assessment carries an empty credal set")
-        for v in self.vertices:
-            if len(v) != len(self.event.cells):
-                raise InputError("conditional mass does not match the event")
-            if any(x < 0 for x in v) or sum(v, Fraction(0)) != 1:
-                raise InputError("conditional masses must be probability vectors")
-
-    @staticmethod
-    def of(event: EventSet, vertices: Sequence[Sequence]) -> "ConditionalAssessment":
-        return ConditionalAssessment(
-            event, tuple(tuple(rat(x) for x in v) for v in vertices)
-        )
-
-
-@dataclass(frozen=True)
-class ConditionalFamilySet:
-    """Natural extension of conditional-prevision assessments.
-
-    The set is posi(L+ and every B_i x with P_i(x) > 0).  Membership of a
-    gamble outside L+ is decided by CONEstrip: one LP over the blocks
-    still in play finds a representation that is strictly desirable on as
-    many blocks as it can, the blocks it cannot use strictly are stripped,
-    and the LP is solved again -- at most one LP more than there are
-    blocks.
-    """
-
-    space: Space
-    assessments: tuple[ConditionalAssessment, ...]
-
-    def contains(self, f: Gamble) -> bool:
-        if f.space != self.space:
-            raise InputError("gamble on the wrong space")
-        if f.is_zero():
-            return False
-        return f.is_positive() or bool(self._strictly_used_blocks(f))
-
-    def _strictly_used_blocks(self, f: Gamble) -> list[int]:
-        """The blocks some representation mu f = h + sum_i B_i x_i (h >= 0,
-        mu >= 1, P_i(x_i) > 0 on each block used) uses; [] if none does.
-
-        Stripping is exact.  The LP maximises sum tau_i subject to
-        P_i(x_i) >= tau_i in [0, 1], and every row is homogeneous.  Take any
-        representation strictly positive on a block set S, scale it until
-        tau_S >= 1 and add it to an optimum: the sum is feasible once tau
-        is capped at 1, and it raises sum tau unless tau_S = 1 already.  So
-        an optimum has tau_i = 0 only on blocks no representation can use.
-        """
-        active = list(range(len(self.assessments)))
-        while active:
-            problem, tau_cols = self._strip_lp(f, active)
-            out = solve(problem)
-            if out.status != OPTIMAL:
-                return []
-            keep = [i for i, t in zip(active, tau_cols) if out.witness[t] > 0]
-            if keep == active:
-                return active
-            active = keep
-        return []
-
-    def _strip_lp(
-        self, f: Gamble, active: Sequence[int]
-    ) -> tuple[LpProblem, list[int]]:
-        """The CONEstrip LP over the active blocks, and its tau columns.
-
-        Variables: per active block its gamble x over the block's cells,
-        then tau; then h per space cell, then mu.
-        """
-        n = self.space.n_cells
-        m_prizes = self.space.n_prizes
-        blocks = [self.assessments[i] for i in active]
-        width = sum(len(a.event.cells) + 1 for a in blocks) + n + 1
-        cons = []
-        bounds: list[tuple[Optional[Rat], Optional[Rat]]] = []
-        cell_rows = [[Fraction(0)] * width for _ in range(n)]
-        tau_cols = []
-        base = 0
-        for a in blocks:
-            cells = a.event.cells
-            tau = base + len(cells)
-            tau_cols.append(tau)
-            for v in a.vertices:
-                row = [Fraction(0)] * width
-                row[base:tau] = v
-                row[tau] = Fraction(-1)
-                cons.append((row, GE, Fraction(0)))
-            for k, (i, j) in enumerate(cells):
-                cell_rows[i * m_prizes + j][base + k] = Fraction(1)
-            bounds.extend([(None, None)] * len(cells) + [(Fraction(0), Fraction(1))])
-            base = tau + 1
-        fflat = f.flat()
-        for c, row in enumerate(cell_rows):
-            row[base + c] = Fraction(1)
-            row[width - 1] = -fflat[c]
-            cons.append((row, EQ, Fraction(0)))
-        bounds.extend([(Fraction(0), None)] * n + [(Fraction(1), None)])
-        obj = [Fraction(0)] * width
-        for tau in tau_cols:
-            obj[tau] = Fraction(1)
-        return LpProblem.build(obj, "max", cons, bounds), tau_cols
-
-
-def build_from_conditional_family(
-    space: Space, family: Sequence[ConditionalAssessment]
-) -> ConditionalFamilySet:
-    """Assemble the family-backed desirable set after checking consistency.
-
-    The family is rejected iff it incurs partial loss: 0 = h + sum_i B_i x_i
-    with h >= 0 and P_i(x_i) > 0 on some nonempty set of blocks.  That is
-    exactly the case where stripping at f = 0 leaves a block in play.
-    """
-    for a in family:
-        if a.event.space != space:
-            raise InputError("assessment event on the wrong space")
-    fam = ConditionalFamilySet(space, tuple(family))
-    losing = fam._strictly_used_blocks(Gamble.zero(space))
-    if losing:
-        raise ModelError(f"conditional family incurs partial loss (blocks {losing})")
-    return fam

@@ -22,10 +22,12 @@ bit-identical outcomes.  The phase-2 objective row is carried through
 the phase-1 pivots, which keep it reduced against the basis, so phase 2
 starts without re-expressing it.
 
-Outcomes carry certificates: an optimal witness that satisfies every
-constraint exactly, or, on infeasibility, Farkas multipliers y for the
-rows of the internal equality form (:func:`_standard_form`), with
-y.A <= 0 componentwise and y.b > 0.  They are read off the phase-1 row,
+Every variable is nonnegative: each question the kernel asks is about a
+cone of desirable gambles, so its multipliers are x >= 0.  Outcomes carry
+certificates: an optimal witness x >= 0 that satisfies every constraint
+exactly, or, on infeasibility, Farkas multipliers y for the rows of the
+internal equality form (:func:`_standard_form`), with y.A <= 0
+componentwise and y.b > 0.  They are read off the phase-1 row,
 at each row's slack or, on an ``=`` row, its artificial: the only
 artificial columns a pivot keeps.
 """
@@ -82,24 +84,21 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max/min c.x subject to rows (a.x rel b) and per-variable bounds.
+    """max/min c.x subject to rows (a.x rel b) and x >= 0.
 
     Numbers are ints or Fractions, stored as given; ``build`` rejects
-    floats.  ``bounds[j]`` is a pair (lower, upper); ``None`` means
-    unbounded on that side.  The default bound is (0, None).
+    floats.
     """
 
     objective: tuple[Rat, ...]
     sense: str
     constraints: tuple[LinearConstraint, ...]
-    bounds: tuple[tuple[Optional[Rat], Optional[Rat]], ...]
 
     @staticmethod
     def build(
         objective: Sequence,
         sense: str,
         constraints: Sequence[tuple[Sequence, str, object]],
-        bounds: Optional[Sequence[tuple[Optional[object], Optional[object]]]] = None,
     ) -> "LpProblem":
         # Tuples are built from lists: CPython then takes each from its free
         # tuples of the final size, while a tuple grown from a generator is
@@ -112,21 +111,7 @@ class LpProblem:
                 for coeffs, rel, rhs in constraints
             ]
         )
-        if bounds is None:
-            bnds: tuple[tuple[Optional[Rat], Optional[Rat]], ...] = (
-                (0, None),
-            ) * len(obj)
-        else:
-            bnds = tuple(
-                [
-                    (
-                        None if lo is None else _exact(lo),
-                        None if hi is None else _exact(hi),
-                    )
-                    for lo, hi in bounds
-                ]
-            )
-        return LpProblem(obj, sense, rows, bnds)
+        return LpProblem(obj, sense, rows)
 
     @staticmethod
     def cone(
@@ -152,8 +137,6 @@ class LpProblem:
         if self.sense not in ("max", "min"):
             raise InputError(f"sense must be 'max' or 'min', got {self.sense!r}")
         n = len(self.objective)
-        if len(self.bounds) != n:
-            raise InputError("bounds length does not match objective length")
         for row in self.constraints:
             if len(row.coeffs) != n:
                 raise InputError(
@@ -172,11 +155,11 @@ class LpOutcome:
 # ---------------------------------------------------------------------------
 # Integer standard form
 #
-# Variables are shifted / split so every internal variable is >= 0; finite
-# upper bounds become extra rows.  Every row is normalised to a nonnegative
-# right-hand side and receives slack/surplus plus one artificial variable,
-# so the initial basis is the artificial identity and Farkas multipliers can
-# be read off the phase-1 reduced costs uniformly.
+# Every variable is already >= 0, so the internal rows are the problem's
+# rows: each is normalised to a nonnegative right-hand side and receives
+# slack/surplus plus one artificial variable, so the initial basis is the
+# artificial identity and Farkas multipliers can be read off the phase-1
+# reduced costs uniformly.
 #
 # Rows are built in one pass straight into integer numerators over the lcm
 # of their entries' denominators.  That (numerators, denominator) pair is
@@ -188,66 +171,40 @@ _FLIP = {LE: GE, GE: LE, EQ: EQ}
 
 
 def _standard_form(problem: LpProblem):
-    """Integer rows of min c'.x' subject to A'x' = b, x' >= 0, b >= 0.
+    """Integer rows of min c'.x subject to A'x' = b, x' >= 0, b >= 0.
 
-    Returns ``(rows, dens, cols, objective)``.  ``rows[i]`` holds the
-    numerators of ``[A'_i | b_i]`` over the positive ``dens[i]``; columns
-    are structural, then one slack/surplus per inequality row; rows are
-    the constraints, then one row per finite upper bound.  ``cols[j]`` is
-    ``(col, lo)``: variable j is ``x'_col + lo``, or ``x'_col - x'_col+1``
-    when ``lo`` is None.  ``objective`` is ``(nums, den)`` of the min-form
-    row ``[c' | -k]``, with k the constant the shifts add to c'.x'.
+    Returns ``(rows, dens, objective)``.  ``rows[i]`` holds the numerators
+    of ``[A'_i | b_i]`` over the positive ``dens[i]``, constraint i negated
+    when its right-hand side is negative; columns are the variables, then
+    one slack/surplus per inequality row.  ``objective`` is ``(nums, den)``
+    of the min-form row ``[c' | 0]``.
     """
-    cols = []
-    n_struct = 0
-    for lo, _ in problem.bounds:
-        cols.append((n_struct, lo))
-        n_struct += 1 if lo is not None else 2
-
-    shifted = [(j, lo) for j, (_, lo) in enumerate(cols) if lo]
-
-    def shift(coeffs):
-        return sum([coeffs[j] * lo for j, lo in shifted], 0)
-
-    specs = [
-        (con.coeffs, con.relation, con.rhs - shift(con.coeffs))
-        for con in problem.constraints
-    ]
-    # Note: an empty box (hi < lo) flows through as an infeasible bound
-    # row, so the certificate machinery covers that case uniformly.
-    for j, (lo, hi) in enumerate(problem.bounds):
-        if hi is not None:
-            unit = [0] * len(cols)
-            unit[j] = 1
-            specs.append((unit, LE, hi if lo is None else hi - lo))
-    n_cols = n_struct + sum(rel != EQ for _, rel, _ in specs)
+    n = len(problem.objective)
+    n_cols = n + sum(con.relation != EQ for con in problem.constraints)
 
     def integer_row(coeffs, rhs, sign):
         den = lcm(rhs.denominator, *[a.denominator for a in coeffs])
         row = [0] * (n_cols + 1)
-        for a, (col, lo) in zip(coeffs, cols):
+        for j, a in enumerate(coeffs):
             if a:
-                row[col] = v = sign * a.numerator * (den // a.denominator)
-                if lo is None:
-                    row[col + 1] = -v
+                row[j] = sign * a.numerator * (den // a.denominator)
         row[-1] = sign * rhs.numerator * (den // rhs.denominator)
         return row, den
 
     rows, dens = [], []
-    slack = n_struct
-    for coeffs, rel, rhs in specs:
-        sign = 1
-        if rhs < 0:
+    slack = n
+    for con in problem.constraints:
+        rel, sign = con.relation, 1
+        if con.rhs < 0:
             sign, rel = -1, _FLIP[rel]
-        row, den = integer_row(coeffs, rhs, sign)
+        row, den = integer_row(con.coeffs, con.rhs, sign)
         if rel != EQ:
             row[slack] = den if rel == LE else -den
             slack += 1
         rows.append(row)
         dens.append(den)
-    c = problem.objective
-    objective = integer_row(c, -shift(c), -1 if problem.sense == "max" else 1)
-    return rows, dens, cols, objective
+    objective = integer_row(problem.objective, 0, -1 if problem.sense == "max" else 1)
+    return rows, dens, objective
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +295,7 @@ def _bland(rows, dens, labels, basis, zrow, d, n_cols, drop) -> tuple[str, int]:
 
 def solve(problem: LpProblem) -> LpOutcome:
     """Solve exactly; deterministic for identical input."""
-    rows, row_dens, cols, (z2, z2_den) = _standard_form(problem)
+    rows, row_dens, (z2, z2_den) = _standard_form(problem)
     m = len(rows)
     n_cols = art0 = len(z2) - 1
 
@@ -357,7 +314,7 @@ def solve(problem: LpProblem) -> LpOutcome:
     # -sign * that of row i's slack, whose column is sign * den_i times the
     # artificial's.  farkas[i] = (label, k, y0): y_i = y0 - k * its cost.
     farkas = [(art0 + i, den, 1) for i, den in enumerate(row_dens)]
-    s = sum([1 if lo is not None else 2 for _, lo in cols])  # first slack
+    s = len(problem.objective)  # first slack
     for i, row in enumerate(rows):
         if s < n_cols and row[s]:
             farkas[i] = (s, 1 if row[s] > 0 else -1, 0)
@@ -400,9 +357,7 @@ def solve(problem: LpProblem) -> LpOutcome:
     for i, col in enumerate(basis):
         if col < n_cols:
             x[col] = Fraction(tab[i][-1], dens[i])
-    witness = tuple(
-        [x[c] - x[c + 1] if lo is None else x[c] + lo if lo else x[c] for c, lo in cols]
-    )
+    witness = tuple(x[: len(problem.objective)])
     # The min-form row's right-hand side reads minus its current value.
     optimum = Fraction(0)
     if not feasibility_only:

@@ -1,30 +1,31 @@
 """Brute-force evaluators the tests compare the kernel against.
 
 The product oracles enumerate vertex combinations directly, with no hull
-construction and no LP; the family oracle enumerates block subsets with
-one LP each; the vertex oracles solve every full n x n active-set system
-by fraction-free Gauss-Jordan elimination of their own, or every reduced
-one with the kernel's integer solver (the active-set sweep);
-the extreme-point oracle drops, one at a time, every point in the hull
-of all the others, with one LP over all of them each; the
-double-inclusion oracle solves the H-form LP in every canonical direction
-and both senses; the augmented-set oracles solve the open part of
-posi(strict + border rays) as LPs with one row per credal vertex, border
-multiples free; the residual oracle solves the closed part's conditional
-supremum as one LP with mu a free variable; the envelope oracles scan
-the vertices with one Fraction multiply-add per cell; the strong-product
-oracle checks domination both ways with one hull LP per vertex; the
-reference simplex keeps every tableau row in lowest terms with one gcd
-reduction per row and pivot, and the certificate replays check an LP
-witness against the original problem and a Farkas vector against the
-internal equality form in Fractions; the dichotomy oracles decide the open side
-of partial loss by a max-margin LP over mixtures of given points, and a
-bare preference cone by convex and conic equality LPs.  Each is an
+construction and no LP; the vertex oracles solve every full n x n
+active-set system by fraction-free Gauss-Jordan elimination of their
+own, or every reduced one with the kernel's integer solver (the
+active-set sweep); the extreme-point oracle drops, one at a time, every
+point in the hull of all the others, with one LP over all of them each;
+the double-inclusion oracle solves the H-form LP in every canonical
+direction and both senses; the augmented-set oracles solve the open part
+of posi(strict + border rays) as LPs with one row per credal vertex,
+border multiples free; the residual oracle solves the closed part's
+conditional supremum as one LP with mu a free variable (free and bounded
+variables reach the kernel's x >= 0 simplex through :class:`BoundedLp`);
+the envelope oracles scan the vertices with one Fraction multiply-add
+per cell; the strong-product oracle checks domination both ways with one
+hull LP per vertex; the reference simplex keeps every tableau row in
+lowest terms with one gcd reduction per row and pivot, and the
+certificate replays check an LP witness and a Farkas vector against the
+problem's own rows in Fractions; the dichotomy oracles decide the open
+side of partial loss by a max-margin LP over mixtures of given points,
+and a bare preference cone by convex and conic equality LPs.  Each is an
 independent route to the same exact answer.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from desir.credal import (
@@ -130,7 +131,7 @@ def solve_reference(problem):
     """Two-phase Bland simplex on lowest-terms integer rows: the same
     pivots as :func:`desir.lp.solve`, with a gcd reduction per touched row
     where the kernel divides exactly (fraction-free)."""
-    rows, dens, cols, (z2, z2_den) = _standard_form(problem)
+    rows, dens, (z2, z2_den) = _standard_form(problem)
     m = len(rows)
     n_cols = art0 = len(z2) - 1
     width = n_cols + m + 1
@@ -174,25 +175,22 @@ def solve_reference(problem):
     for i in range(m):
         if tab.basis[i] < n_cols:
             x[tab.basis[i]] = tab.value(i, width - 1)
-    witness = tuple(
-        x[col] - x[col + 1] if lo is None else x[col] + lo for col, lo in cols
-    )
+    witness = tuple(x[: len(problem.objective)])
     optimum = Fraction(0) if feasibility_only else -tab.value(m + 1, width - 1)
     if problem.sense == "max":
         optimum = -optimum
     return LpOutcome(status=OPTIMAL, optimum=optimum, witness=witness)
 
 
-def verify_witness(problem, witness):
-    """Exact feasibility of a point for the original problem."""
-    if len(witness) != len(problem.objective):
+def _feasible(constraints, bounds, witness):
+    """Exact feasibility of a point: every (lower, upper) bound, ``None``
+    meaning unbounded on that side, and every constraint row."""
+    if len(witness) != len(bounds):
         return False
-    for x, (lo, hi) in zip(witness, problem.bounds):
-        if lo is not None and x < lo:
+    for x, (lo, hi) in zip(witness, bounds):
+        if (lo is not None and x < lo) or (hi is not None and x > hi):
             return False
-        if hi is not None and x > hi:
-            return False
-    for con in problem.constraints:
+    for con in constraints:
         lhs = sum((a * x for a, x in zip(con.coeffs, witness)), Fraction(0))
         if con.relation == LE and lhs > con.rhs:
             return False
@@ -203,25 +201,112 @@ def verify_witness(problem, witness):
     return True
 
 
-def verify_farkas(problem, farkas):
-    """Replay an infeasibility certificate.
+def verify_witness(problem, witness):
+    """Exact feasibility of a point for the problem: x >= 0 and every row."""
+    return _feasible(problem.constraints, [(0, None)] * len(problem.objective), witness)
 
-    ``farkas`` multiplies the rows of the internal equality form (original
-    constraints first, then one row per finite upper bound, each negated
-    when needed so its right-hand side is nonnegative); validity means the
-    combination proves ``0 > 0`` over nonnegative variables:
-    y.A <= 0 componentwise and y.b > 0.
+
+def verify_farkas(problem, farkas):
+    """Replay an infeasibility certificate from the problem's own rows.
+
+    ``farkas`` multiplies the rows of the internal equality form: the
+    constraints, each negated when its right-hand side is negative, with
+    one slack column per inequality row.  Undoing the negation gives
+    multipliers u for the problem's rows, and validity means they prove
+    ``0 > 0`` over x >= 0: u.b > 0 and (u.A)_j <= 0 for every variable,
+    while a row's slack column asks u <= 0 on a ``<=`` row and u >= 0 on
+    a ``>=`` row.
     """
-    rows, dens, _, (z, _) = _standard_form(problem)
+    rows = problem.constraints
     if len(farkas) != len(rows):
         return False
-    total = [Fraction(0)] * len(z)
-    for y, row, den in zip(farkas, rows, dens):
-        w = Fraction(y) / den
-        for j, v in enumerate(row):
-            if v:
-                total[j] += w * v
-    return all(t <= 0 for t in total[:-1]) and total[-1] > 0
+    u = [Fraction(y) if row.rhs >= 0 else -Fraction(y) for y, row in zip(farkas, rows)]
+    if any(
+        (row.relation == LE and ui > 0) or (row.relation == GE and ui < 0)
+        for ui, row in zip(u, rows)
+    ):
+        return False
+    for j in range(len(problem.objective)):
+        if sum((ui * row.coeffs[j] for ui, row in zip(u, rows)), Fraction(0)) > 0:
+            return False
+    return sum((ui * row.rhs for ui, row in zip(u, rows)), Fraction(0)) > 0
+
+
+@dataclass(frozen=True)
+class BoundedLp:
+    """max/min c.x subject to rows and per-variable bounds, reduced to the
+    kernel's x >= 0 form by the textbook substitutions (Chvatal, *Linear
+    Programming*, 1983): a free variable is split in place into adjacent
+    columns x+ - x-, a finite lower bound is shifted into the right-hand
+    sides, and each finite upper bound becomes a ``<=`` row after the
+    constraints.  ``problem`` is that x >= 0 LP in x'; ``cols[j]`` is
+    ``(col, lower)``: variable j is x'[col] + lower, or x'[col] - x'[col + 1]
+    when lower is None; ``shift`` is the constant k with c.x = c'.x' + k.
+    """
+
+    original: LpProblem  # the rows and objective without their bounds
+    bounds: tuple
+    problem: LpProblem
+    cols: tuple
+    shift: object
+
+    @staticmethod
+    def build(objective, sense, constraints, bounds=None) -> "BoundedLp":
+        """``bounds[j]`` is (lower, upper), ``None`` meaning unbounded on
+        that side; the default is (0, None) throughout."""
+        original = LpProblem.build(objective, sense, constraints)
+        n = len(original.objective)
+        bounds = ((0, None),) * n if bounds is None else tuple(bounds)
+        assert len(bounds) == n
+        cols, width = [], 0
+        for lo, _ in bounds:
+            cols.append((width, lo))
+            width += 1 if lo is not None else 2
+
+        def split(coeffs):
+            row = [0] * width
+            for a, (col, lo) in zip(coeffs, cols):
+                row[col] = a
+                if lo is None:
+                    row[col + 1] = -a
+            return row
+
+        def shift(coeffs):
+            return sum([a * lo for a, (_, lo) in zip(coeffs, cols) if lo], 0)
+
+        rows = [
+            (split(con.coeffs), con.relation, con.rhs - shift(con.coeffs))
+            for con in original.constraints
+        ]
+        for j, (lo, hi) in enumerate(bounds):
+            if hi is not None:
+                unit = [0] * n
+                unit[j] = 1
+                rows.append((split(unit), LE, hi if lo is None else hi - lo))
+        c = original.objective
+        problem = LpProblem.build(split(c), sense, rows)
+        return BoundedLp(original, bounds, problem, tuple(cols), shift(c))
+
+    def solve(self, solver=solve) -> LpOutcome:
+        """The solver's outcome on ``problem``, its witness checked there
+        and then mapped back, with the optimum, to the original variables;
+        a Farkas vector stays over ``problem``'s rows."""
+        out = solver(self.problem)
+        if out.status != OPTIMAL:
+            return out
+        assert verify_witness(self.problem, out.witness)
+        x = out.witness
+        witness = tuple(
+            [
+                x[c] - x[c + 1] if lo is None else x[c] + lo if lo else x[c]
+                for c, lo in self.cols
+            ]
+        )
+        return LpOutcome(OPTIMAL, out.optimum + self.shift, witness)
+
+    def verify_witness(self, witness):
+        """Exact feasibility of a point for the original rows and bounds."""
+        return _feasible(self.original.constraints, self.bounds, witness)
 
 
 def _integer_solve(rows, rhs):
@@ -435,18 +520,6 @@ def conditional_natural_extension_scan(credal, f, event):
     return f.min_over(event) if value is None else value
 
 
-def assessment_lower(assessment, f):
-    """Lower prevision of f under a ConditionalAssessment: the minimum over
-    its conditional masses of the expectation on the event's cells."""
-    return min(
-        sum(
-            (x * f.values[i][j] for x, (i, j) in zip(v, assessment.event.cells)),
-            Fraction(0),
-        )
-        for v in assessment.vertices
-    )
-
-
 def _prize_row(f, state):
     return Gamble(prizes_factor_space(f.space), (f.values[state],))
 
@@ -475,78 +548,6 @@ def strong_product_lower(m_omega, m_x, f):
     return min(vo(g) for g in inners for vo in m_omega.vertices)
 
 
-def family_contains_bruteforce(family, f):
-    """Membership in a ConditionalFamilySet by trying every nonempty block
-    subset: f = h + sum over the subset of B_i y_i with h >= 0 and every
-    P_i(y_i) > 0, or f >= 0 and nonzero.  At f = 0 a True answer means the
-    family incurs partial loss."""
-    if f.is_positive():
-        return True
-    k = len(family.assessments)
-    return any(
-        _subset_feasible(family, f, [i for i in range(k) if mask & (1 << i)])
-        for mask in range(1, 1 << k)
-    )
-
-
-def _subset_feasible(family, f, used):
-    # variables: per used block: g over its cells, bound m, slack eps;
-    # then one residual per space cell, then the common slack delta.
-    space = family.space
-    n = space.n_cells
-    m_prizes = space.n_prizes
-    offsets = []
-    width = 0
-    for i in used:
-        offsets.append(width)
-        width += len(family.assessments[i].event.cells) + 2
-    h0 = width
-    width += n
-    dcol = width
-    width += 1
-
-    def empty_row():
-        return [Fraction(0)] * width
-
-    cons = []
-    bounds = []
-    for pos, i in enumerate(used):
-        cells = family.assessments[i].event.cells
-        base = offsets[pos]
-        bounds.extend([(None, None)] * len(cells))
-        bounds.append((None, None))  # m_i
-        bounds.append((Fraction(0), None))  # eps_i
-        for v in family.assessments[i].vertices:
-            row = empty_row()
-            for x, k2 in zip(v, range(len(cells))):
-                row[base + k2] = x
-            row[base + len(cells)] = Fraction(-1)
-            cons.append((row, GE, Fraction(0)))
-        row = empty_row()
-        row[base + len(cells) + 1] = Fraction(1)
-        row[dcol] = Fraction(-1)
-        cons.append((row, GE, Fraction(0)))
-    bounds.extend([(Fraction(0), None)] * n)  # residual h
-    bounds.append((Fraction(0), Fraction(1)))  # delta
-    for c in range(n):
-        i_state, j_prize = divmod(c, m_prizes)
-        row = empty_row()
-        row[h0 + c] = Fraction(1)
-        for pos, i in enumerate(used):
-            cells = family.assessments[i].event.cells
-            base = offsets[pos]
-            if (i_state, j_prize) in cells:
-                k2 = cells.index((i_state, j_prize))
-                row[base + k2] = Fraction(1)
-                row[base + len(cells)] = Fraction(-1)
-                row[base + len(cells) + 1] = Fraction(1)
-        cons.append((row, EQ, f.values[i_state][j_prize]))
-    obj = empty_row()
-    obj[dcol] = Fraction(1)
-    out = solve(LpProblem.build(obj, "max", cons, bounds))
-    return out.status == OPTIMAL and out.optimum > 0
-
-
 def augmented_open_lp(dset, f):
     """(t, mu) at the optimum of max t subject to v(f) - sum mu_j v(b_j) >= t
     at every credal vertex v, mu >= 0 and t <= 1: f is in the open part of
@@ -559,7 +560,8 @@ def augmented_open_lp(dset, f):
     ]
     cons.append(([Fraction(0)] * nb + [Fraction(1)], LE, Fraction(1)))
     bounds = [(Fraction(0), None)] * nb + [(None, None)]
-    out = solve(LpProblem.build([Fraction(0)] * nb + [Fraction(1)], "max", cons, bounds))
+    objective = [Fraction(0)] * nb + [Fraction(1)]
+    out = BoundedLp.build(objective, "max", cons, bounds).solve()
     assert out.status == OPTIMAL
     return out.optimum, out.witness[:nb]
 
@@ -592,9 +594,8 @@ def residual_sup_free_lp(rays, f, event):
         for c in range(len(bflat))
     ]
     bounds = [(Fraction(0), None)] * k + [(None, None)]
-    out = solve(
-        LpProblem.build([Fraction(0)] * k + [Fraction(1)], "max", cons, bounds)
-    )
+    objective = [Fraction(0)] * k + [Fraction(1)]
+    out = BoundedLp.build(objective, "max", cons, bounds).solve()
     assert out.status != INFEASIBLE
     return out.optimum if out.status == OPTIMAL else None
 
@@ -616,16 +617,15 @@ def augmented_open_conditional_sup(dset, f, event):
     gate_cons = [(row + [Fraction(1)], LE, rhs) for row, rhs in rows]
     gate_cons.append(([Fraction(0)] * (1 + nb) + [Fraction(1)], LE, Fraction(1)))
     gate_bounds = [(None, None)] + [(Fraction(0), None)] * nb + [(None, None)]
-    gate = solve(
-        LpProblem.build(
-            [Fraction(0)] * (1 + nb) + [Fraction(1)], "max", gate_cons, gate_bounds
-        )
-    )
+    gate = BoundedLp.build(
+        [Fraction(0)] * (1 + nb) + [Fraction(1)], "max", gate_cons, gate_bounds
+    ).solve()
     if gate.status != OPTIMAL or gate.optimum <= 0:
         return None
     cons = [(row, LE, rhs) for row, rhs in rows]
     bounds = [(None, None)] + [(Fraction(0), None)] * nb
-    out = solve(LpProblem.build([Fraction(1)] + [Fraction(0)] * nb, "max", cons, bounds))
+    objective = [Fraction(1)] + [Fraction(0)] * nb
+    out = BoundedLp.build(objective, "max", cons, bounds).solve()
     assert out.status != UNBOUNDED
     return out.optimum if out.status == OPTIMAL else None
 

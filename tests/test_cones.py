@@ -5,15 +5,12 @@ import pytest
 import desir.credal
 from desir.cones import (
     AUGMENTED,
-    ConditionalAssessment,
-    ConditionalFamilySet,
     DesirSet,
     MembershipVerdict,
     PositiveCombination,
     PositiveExpectation,
     _residual_sup,
     avoids_partial_loss,
-    build_from_conditional_family,
     open_superset_witness,
 )
 from desir.credal import CredalSet
@@ -25,8 +22,6 @@ from oracles import (
     augmented_contains_lp,
     augmented_open_conditional_sup,
     augmented_open_lp,
-    assessment_lower,
-    family_contains_bruteforce,
     open_superset_mix,
     positive_mix,
     residual_sup_free_lp,
@@ -910,128 +905,3 @@ def test_credal_open_superset_matches_mixture_lp(rng):
             found += ok and bool(dset.borders)
     assert found
 
-
-# -- conditional families -----------------------------------------------------
-
-
-def test_family_single_block_equals_strict(rng):
-    fam = build_from_conditional_family(
-        COIN,
-        [
-            ConditionalAssessment.of(
-                EventSet.all_cells(COIN), [(F(1, 2), F(1, 2))]
-            )
-        ],
-    )
-    strict = DesirSet.strict(CredalSet.point(COIN, (F(1, 2), F(1, 2))))
-    for _ in range(10):
-        f = rand_gamble(rng, COIN)
-        assert fam.contains(f) == strict.contains(f)
-
-
-def test_family_two_blocks_border():
-    quad = Space(("s1", "s2", "s3", "s4"), ("x",))
-    b12 = EventSet.from_states(quad, ["s1", "s2"])
-    b34 = EventSet.from_states(quad, ["s3", "s4"])
-    fam = build_from_conditional_family(
-        quad,
-        [
-            ConditionalAssessment.of(b12, [(F(1, 2), F(1, 2))]),
-            ConditionalAssessment.of(b34, [(F(1, 2), F(1, 2))]),
-        ],
-    )
-    for eps in (F(1, 7), F(1, 2)):
-        f = Gamble.of(quad, [[1], [-1 + eps], [0], [0]])
-        assert fam.contains(f)
-    assert not fam.contains(Gamble.of(quad, [[1], [-1], [0], [0]]))
-
-
-def test_family_empty_is_vacuous(rng):
-    fam = build_from_conditional_family(COIN, [])
-    for _ in range(10):
-        f = rand_gamble(rng, COIN)
-        assert fam.contains(f) == f.is_positive()
-
-
-def test_family_probe_rejection():
-    # P(h | everything) = 1 and P(t | everything) = 1 incur partial loss:
-    # (1, -5) + (-5, 1) < 0 with both summands strictly desirable
-    b = EventSet.all_cells(COIN)
-    fam = [
-        ConditionalAssessment.of(b, [(1, 0)]),
-        ConditionalAssessment.of(b, [(0, 1)]),
-    ]
-    with pytest.raises(ModelError, match="partial loss"):
-        build_from_conditional_family(COIN, fam)
-
-
-def _rand_family(rng):
-    space = rand_space(rng, max_states=4, max_prizes=2, worst=False)
-    cells = space.cells()
-    family = []
-    for _ in range(rng.randint(1, 5)):
-        event = EventSet(space, tuple(rng.sample(cells, rng.randint(1, len(cells)))))
-        width = len(event.cells)
-        vertices = [rand_mass_row(rng, width) for _ in range(rng.randint(1, 2))]
-        family.append(ConditionalAssessment.of(event, vertices))
-    return space, family
-
-
-def _boundary_gamble(rng, space, family):
-    """A sum of called-off gambles with conditional lower prevision zero,
-    nudged by at most one small constant."""
-    f = Gamble.zero(space)
-    for a in rng.sample(family, rng.randint(1, len(family))):
-        y = rand_gamble(rng, space, lo=-3, hi=3, max_den=2)
-        floor = Gamble.constant(space, assessment_lower(a, y))
-        f = f + (y - floor).restricted_to(a.event)
-    nudge = rng.choice((F(0), F(0), F(1, 4), F(-1, 4)))
-    return f + Gamble.constant(space, nudge)
-
-
-def test_family_matches_subset_bruteforce(rng):
-    checked = 0
-    while checked < 150:
-        space, family = _rand_family(rng)
-        loses = family_contains_bruteforce(
-            ConditionalFamilySet(space, tuple(family)), Gamble.zero(space)
-        )
-        try:
-            fam = build_from_conditional_family(space, family)
-        except ModelError:
-            assert loses
-            continue
-        assert not loses
-        for _ in range(3):
-            for f in (
-                rand_gamble(rng, space, lo=-3, hi=3, max_den=2),
-                _boundary_gamble(rng, space, family),
-            ):
-                if not f.is_zero():
-                    assert fam.contains(f) == family_contains_bruteforce(fam, f)
-                    checked += 1
-
-
-def test_family_ten_block_ring():
-    # blocks {s_i, s_i+1} around a ring of ten states, each with the
-    # fair conditional prevision; every member has positive total mass
-    n = 10
-    ring = Space(tuple(f"s{i}" for i in range(n)), ("x",))
-    fam = build_from_conditional_family(
-        ring,
-        [
-            ConditionalAssessment.of(
-                EventSet.from_states(ring, [f"s{i}", f"s{(i + 1) % n}"]),
-                [(F(1, 2), F(1, 2))],
-            )
-            for i in range(n)
-        ],
-    )
-
-    def unit(*head):
-        return Gamble.of(ring, [[v] for v in list(head) + [0] * (n - len(head))])
-
-    assert not fam.contains(unit(1, -1))
-    assert fam.contains(unit(2, -1))
-    assert fam.contains(unit(0, 0, 0, 0, 0, 0, 0, 0, 3, -1))
-    assert not fam.contains(unit(1, 1, -1, -1))

@@ -17,7 +17,7 @@ from desir.lp import (
 )
 
 from conftest import rand_rat
-from oracles import solve_reference, verify_farkas, verify_witness
+from oracles import BoundedLp, solve_reference, verify_farkas
 
 
 def test_single_bound():
@@ -57,6 +57,9 @@ def test_infeasible_with_certificate():
     assert out.status == INFEASIBLE
     assert out.farkas is not None
     assert verify_farkas(prob, out.farkas)
+    # x >= -1 is feasible; its internal row -x <= 1 has y = 1 with y.A <= 0
+    # on x and y.b > 0, and only its slack's column rules that y out
+    assert not verify_farkas(LpProblem.build([0], "max", [([1], GE, -1)]), (F(1),))
 
 
 def test_unbounded():
@@ -66,20 +69,20 @@ def test_unbounded():
 
 def test_free_variables_and_shifts():
     # max x + y, x free, y in [-2, 5], x + y <= 1
-    prob = LpProblem.build(
+    prob = BoundedLp.build(
         [1, 1],
         "max",
         [([1, 1], LE, 1), ([1, 0], LE, 10)],
         bounds=[(None, None), (-2, 5)],
     )
-    out = solve(prob)
+    out = prob.solve()
     assert out.status == OPTIMAL
     assert out.optimum == 1
 
 
 def test_negative_lower_bound_only():
-    prob = LpProblem.build([1], "min", [([1], GE, -3)], bounds=[(None, None)])
-    out = solve(prob)
+    prob = BoundedLp.build([1], "min", [([1], GE, -3)], bounds=[(None, None)])
+    out = prob.solve()
     assert out.status == OPTIMAL
     assert out.optimum == -3
 
@@ -107,7 +110,7 @@ def test_zero_dimension():
     ],
 )
 def test_bounds_only(objective, sense, bounds, status, optimum, witness):
-    out = solve(LpProblem.build(objective, sense, [], bounds))
+    out = BoundedLp.build(objective, sense, [], bounds).solve()
     assert (out.status, out.optimum, out.witness) == (status, optimum, witness)
 
 
@@ -115,14 +118,13 @@ def test_rejects_floats():
     with pytest.raises(InputError):
         rat(0.5)
     # ints and Fractions are stored as given; a float anywhere still raises
-    for objective, constraints, bounds in (
-        ([1], [([0.5], LE, 1)], None),
-        ([1], [([1], LE, 0.5)], None),
-        ([1], [([1], LE, 1)], [(0, 0.5)]),
-        ([1], [], [(-0.5, None)]),
+    for objective, constraints in (
+        ([1], [([0.5], LE, 1)]),
+        ([1], [([1], LE, 0.5)]),
+        ([0.5], [([1], LE, 1)]),
     ):
         with pytest.raises(InputError):
-            LpProblem.build(objective, "max", constraints, bounds)
+            LpProblem.build(objective, "max", constraints)
 
 
 def test_dimension_mismatch():
@@ -140,16 +142,16 @@ def _random_bounded_problem(rng, n, m):
     # all rhs >= 0, which the generator guarantees)
     bounds = [(0, F(5)) for _ in range(n)]
     obj = [rand_rat(rng) for _ in range(n)]
-    return LpProblem.build(obj, "max", cons, bounds)
+    return BoundedLp.build(obj, "max", cons, bounds)
 
 
 def test_witness_satisfies_exactly(rng):
     for _ in range(40):
         prob = _random_bounded_problem(rng, rng.randint(1, 5), rng.randint(1, 5))
-        out = solve(prob)
+        out = prob.solve()
         assert out.status == OPTIMAL
-        assert verify_witness(prob, out.witness)
-        got = sum(c * x for c, x in zip(prob.objective, out.witness))
+        assert prob.verify_witness(out.witness)
+        got = sum(c * x for c, x in zip(prob.original.objective, out.witness))
         assert got == out.optimum
 
 
@@ -163,7 +165,7 @@ def test_strong_duality_spot_check(rng):
         b = [rand_rat(rng, lo=0, hi=6) for _ in range(m)]
         u = [F(rng.randint(1, 5)) for _ in range(n)]
         c = [rand_rat(rng) for _ in range(n)]
-        primal = LpProblem.build(
+        primal = BoundedLp.build(
             c, "max", [(a[i], LE, b[i]) for i in range(m)], [(0, u[j]) for j in range(n)]
         )
         dual_obj = b + u
@@ -174,7 +176,7 @@ def test_strong_duality_spot_check(rng):
             ]
             dual_cons.append((row, GE, c[j]))
         dual = LpProblem.build(dual_obj, "min", dual_cons)
-        p = solve(primal)
+        p = primal.solve()
         d = solve(dual)
         assert p.status == OPTIMAL and d.status == OPTIMAL
         assert p.optimum == d.optimum
@@ -182,7 +184,7 @@ def test_strong_duality_spot_check(rng):
 
 def test_determinism(rng):
     for _ in range(10):
-        prob = _random_bounded_problem(rng, 4, 4)
+        prob = _random_bounded_problem(rng, 4, 4).problem
         assert solve(prob) == solve(prob)
 
 
@@ -190,8 +192,8 @@ def _brute_force_optimum(prob):
     """Enumerate the basic points of the constraint system exactly."""
     import itertools
 
-    n = len(prob.objective)
-    rows = [(list(c.coeffs), c.relation, c.rhs) for c in prob.constraints]
+    n = len(prob.original.objective)
+    rows = [(list(c.coeffs), c.relation, c.rhs) for c in prob.original.constraints]
     for j, (lo, hi) in enumerate(prob.bounds):
         unit = [F(0)] * n
         unit[j] = F(1)
@@ -230,8 +232,9 @@ def _brute_force_optimum(prob):
                 break
         if not feasible:
             continue
-        val = sum(c * v for c, v in zip(prob.objective, x))
-        if best is None or (val > best if prob.sense == "max" else val < best):
+        val = sum(c * v for c, v in zip(prob.original.objective, x))
+        maximise = prob.original.sense == "max"
+        if best is None or (val > best if maximise else val < best):
             best = val
     return best
 
@@ -245,21 +248,21 @@ def test_against_bruteforce_vertices(rng):
             rel = rng.choice([LE, GE, EQ])
             cons.append(([rand_rat(rng) for _ in range(n)], rel, rand_rat(rng)))
         bounds = [(rng.choice([F(0), F(-1), F(-1, 2)]), F(3)) for _ in range(n)]
-        prob = LpProblem.build(
+        prob = BoundedLp.build(
             [rand_rat(rng) for _ in range(n)],
             rng.choice(["max", "min"]),
             cons,
             bounds,
         )
-        out = solve(prob)
+        out = prob.solve()
         brute = _brute_force_optimum(prob)
         done += 1
         if out.status == OPTIMAL:
             assert brute == out.optimum
-            assert verify_witness(prob, out.witness)
+            assert prob.verify_witness(out.witness)
         elif out.status == INFEASIBLE:
             assert brute is None
-            assert verify_farkas(prob, out.farkas)
+            assert verify_farkas(prob.problem, out.farkas)
 
 
 def test_infeasible_random_certificates(rng):
@@ -308,7 +311,7 @@ def _random_general_problem(rng):
         )
         for _ in range(m)
     ]
-    return LpProblem.build(
+    return BoundedLp.build(
         [rand_rat(rng) for _ in range(n)], rng.choice(["max", "min"]), cons, bounds
     )
 
@@ -330,14 +333,14 @@ def test_random_battery_certificates_and_pinned_outcomes():
     statuses = set()
     for _ in range(300):
         prob = _random_general_problem(rng)
-        out = solve(prob)
+        out = prob.solve()
         statuses.add(out.status)
         if out.status == OPTIMAL:
-            assert verify_witness(prob, out.witness)
-            got = sum((c * x for c, x in zip(prob.objective, out.witness)), F(0))
+            assert prob.verify_witness(out.witness)
+            got = sum(map(operator.mul, prob.original.objective, out.witness), F(0))
             assert got == out.optimum
         elif out.status == INFEASIBLE:
-            assert verify_farkas(prob, out.farkas)
+            assert verify_farkas(prob.problem, out.farkas)
         reprs.append(repr(out))
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
@@ -368,7 +371,7 @@ def _random_sparse_problem(rng):
             rhs = sum((a * x for a, x in zip(coeffs, point)), slack)
         cons.append((coeffs, rel, rhs))
     objective = [rand_rat(rng) if rng.random() < density else F(0) for _ in range(n)]
-    return LpProblem.build(objective, rng.choice(["max", "min"]), cons, bounds)
+    return BoundedLp.build(objective, rng.choice(["max", "min"]), cons, bounds)
 
 
 def test_sparse_battery_matches_reference_simplex():
@@ -378,17 +381,46 @@ def test_sparse_battery_matches_reference_simplex():
     counts = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
     for _ in range(1000):
         prob = _random_sparse_problem(rng)
-        out = solve(prob)
-        assert out == solve_reference(prob)
+        out = prob.solve()
+        assert out == prob.solve(solve_reference)
         counts[out.status] += 1
         if out.status == OPTIMAL:
-            assert verify_witness(prob, out.witness)
-            got = sum((c * x for c, x in zip(prob.objective, out.witness)), F(0))
+            assert prob.verify_witness(out.witness)
+            got = sum(map(operator.mul, prob.original.objective, out.witness), F(0))
             assert got == out.optimum
         elif out.status == INFEASIBLE:
-            assert verify_farkas(prob, out.farkas)
+            assert verify_farkas(prob.problem, out.farkas)
     assert min(counts.values()) >= 100, counts
 
+
+def test_only_equality_rows_keep_an_artificial(monkeypatch):
+    """Each inequality row's Farkas multiplier is read at its slack, so its
+    artificial column goes the first time it leaves the basis; only an
+    ``=`` row keeps one.  Every pivot gets exactly that drop set."""
+    import random
+
+    import desir.lp
+
+    drops = []
+    kernel_pivot = desir.lp._pivot
+
+    def recording(rows, dens, labels, basis, r, c, d, drop):
+        drops.append(drop)
+        return kernel_pivot(rows, dens, labels, basis, r, c, d, drop)
+
+    monkeypatch.setattr(desir.lp, "_pivot", recording)
+    rng = random.Random(2402)
+    pivoted = 0
+    for _ in range(200):
+        prob = _random_sparse_problem(rng).problem
+        drops.clear()
+        solve(prob)
+        rows = prob.constraints
+        art0 = len(prob.objective) + sum(c.relation != EQ for c in rows)
+        expected = {art0 + i for i, c in enumerate(rows) if c.relation != EQ}
+        assert all(drop == expected for drop in drops)
+        pivoted += bool(expected and drops)
+    assert pivoted >= 100
 
 def _integer_lp_case(rng, t):
     """(objective, sense, constraints, bounds) with integer data only, by
@@ -463,14 +495,14 @@ def test_integer_and_fraction_data_solve_alike():
     seen = set()
     for t in range(300):
         objective, sense, cons, bounds = _integer_lp_case(rng, t)
-        ints = LpProblem.build(objective, sense, cons, bounds)
-        stored = [*ints.objective, *(a for c in ints.constraints for a in c.coeffs)]
-        stored += [c.rhs for c in ints.constraints]
-        stored += [v for pair in ints.bounds for v in pair if v is not None]
+        ints = BoundedLp.build(objective, sense, cons, bounds)
+        kernel = ints.problem
+        stored = [*kernel.objective, *(a for c in kernel.constraints for a in c.coeffs)]
+        stored += [c.rhs for c in kernel.constraints]
         assert all(type(v) is int for v in stored)
-        fracs = LpProblem.build(*_in_fractions(objective, sense, cons, bounds))
-        out = solve(ints)
-        assert repr(out) == repr(solve(fracs))
+        fracs = BoundedLp.build(*_in_fractions(objective, sense, cons, bounds))
+        out = ints.solve()
+        assert repr(out) == repr(fracs.solve())
         seen.add((t % 3, out.status))
     assert seen >= {(0, OPTIMAL), (0, INFEASIBLE), (1, OPTIMAL), (1, INFEASIBLE)}
     assert {(2, OPTIMAL), (2, INFEASIBLE), (2, UNBOUNDED)} <= seen
@@ -505,15 +537,15 @@ def _check_against_reference(prob, pivots):
     returns the outcome."""
     for made in pivots:
         made.clear()
-    out, expected = solve(prob), solve_reference(prob)
+    out, expected = prob.solve(), prob.solve(solve_reference)
     assert pivots[0] == pivots[1]
     assert (out, repr(out)) == (expected, repr(expected))
     if out.status == OPTIMAL:
-        assert verify_witness(prob, out.witness)
-        got = sum((c * x for c, x in zip(prob.objective, out.witness)), F(0))
+        assert prob.verify_witness(out.witness)
+        got = sum(map(operator.mul, prob.original.objective, out.witness), F(0))
         assert got == out.optimum
     elif out.status == INFEASIBLE:
-        assert verify_farkas(prob, out.farkas)
+        assert verify_farkas(prob.problem, out.farkas)
     return out
 
 
@@ -548,7 +580,7 @@ def test_infeasible_mixed_rows_read_every_farkas_case(pivots):
             )
             for _ in range(m)
         ]
-        prob = LpProblem.build(
+        prob = BoundedLp.build(
             [rand_rat(rng) for _ in range(n)],
             rng.choice(["max", "min"]),
             cons,
@@ -593,6 +625,6 @@ def test_redundant_equalities_keep_an_artificial_into_phase_2(pivots):
         rng.shuffle(cons)
         objective = [F(rng.randint(-2, 2)) for _ in range(n)]
         objective[rng.randrange(n)] += 3
-        prob = LpProblem.build(objective, rng.choice(["max", "min"]), cons, bounds)
+        prob = BoundedLp.build(objective, rng.choice(["max", "min"]), cons, bounds)
         statuses.append(_check_against_reference(prob, pivots).status)
     assert INFEASIBLE not in statuses and OPTIMAL in statuses
