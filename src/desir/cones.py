@@ -12,13 +12,14 @@
 Every answer is exact.  Vertex scans of the credal set decide the open
 part, lower previsions, the generalized Bayes rule and the open-superset
 search (the vertex centroid) of the credal kinds, and an fg set's
-previsions: by Farkas and Minkowski-Weyl its natural extension is the
-lower envelope of M_R = {P : P(g) >= 0 for each generator g} (Walley
-1991, 3.3-3.4), enumerated once per set, on first use.  Exact linear
-programs decide the rest: the cone LP over the rays, the residual LP
-(also an fg prevision when M_R is over the enumeration budget), the fg
-separating prevision, and the partial-loss LP, whose Farkas vector is
-also the open-superset witness of an fg set (Ville's alternative).
+previsions and membership verdicts: by Farkas and Minkowski-Weyl its
+natural extension is the lower envelope of M_R = {P : P(g) >= 0 for each
+generator g} (Walley 1991, 3.3-3.4), enumerated once per set, on first
+use.  Exact linear programs decide the rest: the cone LP over the rays
+(of an fg set, only certificates and sets whose M_R is over the
+enumeration budget), the residual LP (also an fg prevision over the
+budget), the fg separating prevision, and the partial-loss LP, whose
+Farkas vector is the open-superset witness of an fg set (Ville).
 Positive membership verdicts carry a positive-combination or
 positive-expectation certificate; negative verdicts carry a separating
 linear prevision.  Certificates replay exactly.
@@ -28,8 +29,9 @@ border rays of an augmented set, none for a strict set -- plus, for the
 credal kinds, the open part {lower expectation of f > 0}.  Each question
 has one rule over that shape.  Membership: f positive, then the open part,
 then one zero-objective cone LP lambda >= 0, sum lambda_k r_k <= f over
-the rays.  Every border ray has lower expectation zero, so subtracting
-border multiples never raises an expectation: the open part needs no LP.
+the rays, feasible iff lower_{M_R}(f) >= 0 with R the rays.  Every
+border ray has lower expectation zero, so subtracting border multiples
+never raises an expectation: the open part needs no LP.
 
 The conditional computation is ``sup { mu : B(f - mu) in D }`` for an
 arbitrary nonempty cell event B.  The member set is the union of the open
@@ -286,8 +288,19 @@ class DesirSet:
     # -- membership -------------------------------------------------------
 
     def contains(self, f: Gamble) -> bool:
-        """Boolean membership (no certificate replay)."""
+        """Boolean membership (no certificate replay).
+
+        An fg set within the budget decides by f != 0 and lower_{M_R}(f) >=
+        0, no LP.  By Farkas, lambda >= 0, sum lambda_k r_k <= f is
+        infeasible iff some y >= 0 has y.r >= 0 on every ray and y.f < 0:
+        normalised, a P in M_R with P(f) < 0, and M_R's minimum is at a
+        vertex.  A nonzero f <= 0 has lower < 0, else the system is
+        feasible with lambda != 0, a partial loss (from_generators rejects
+        it).  The vacuous set's M_R is the simplex.  Others: _certificate.
+        """
         self._check_space(f)
+        if self.kind == FG and self._m_r is not None:
+            return not f.is_zero() and self._m_r.lower(f) >= 0
         return self._certificate(f) is not None
 
     def member(self, f: Gamble) -> MembershipVerdict:
@@ -303,7 +316,8 @@ class DesirSet:
 
     def _certificate(self, f: Gamble) -> Optional[Certificate]:
         """Positive certificate, or None if f is not a member (the zero
-        gamble and nonpositive gambles never are).
+        gamble and nonpositive gambles never are).  Every verdict of a
+        credal kind or an over-budget fg set, and every fg certificate.
 
         f positive, then the open part, then the cone LP over the rays.  A
         border ray b has lower expectation zero, so P(b) >= 0 for every P

@@ -30,6 +30,20 @@ def solved_lps(monkeypatch):
     return log
 
 
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The argument tuple of every ``desir.credal.enumerate_vertices`` call
+    from here on, in order."""
+    log = []
+
+    def counting(*args, real=desir.credal.enumerate_vertices):
+        log.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(desir.credal, "enumerate_vertices", counting)
+    return log
+
+
 def lps_in(solved, module) -> list:
     """The problems of a ``solved_lps`` log that ``module`` solved."""
     return [problem for name, problem in solved if name == module]

@@ -19,8 +19,9 @@ lowest terms with one gcd reduction per row and pivot, and the
 certificate replays check an LP witness and a Farkas vector against the
 problem's own rows in Fractions; the dichotomy oracles decide the open
 side of partial loss by a max-margin LP over mixtures of given points,
-and a bare preference cone by convex and conic equality LPs.  Each is an
-independent route to the same exact answer.
+and a bare preference cone by convex and conic equality LPs; the fg
+membership oracle solves the cone LP over the rays with the reference
+simplex.  Each is an independent route to the same exact answer.
 """
 
 import itertools
@@ -685,3 +686,14 @@ def bare_cone_contains(gambles, f):
         return False
     flats = [g.flat() for g in gambles]
     return solve(LpProblem.cone(flats, EQ, f.flat())).status == OPTIMAL
+
+
+def fg_contains_reference(rays, f):
+    """f is nonzero and lambda >= 0, sum lambda_k r_k <= f is feasible, by
+    the reference simplex; with no rays, f is nonzero and >= 0."""
+    if not rays:
+        return f.is_positive()
+    if f.is_zero():
+        return False
+    problem = LpProblem.cone([r.flat() for r in rays], LE, f.flat())
+    return solve_reference(problem).status == OPTIMAL

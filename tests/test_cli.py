@@ -285,6 +285,16 @@ def test_fg_scale_lowprev_runs_the_residual_lp(solved_lps):
     assert doc.desirsets["R"]._m_r is None
 
 
+def test_fg_scale_member_runs_one_cone_lp(solved_lps):
+    # over the budget a plain verdict has no M_R to scan: one cone LP each
+    doc = parse_document(_fg_scale_text())
+    for name, answer in (("m", "true"), ("n", "false"), ("m", "true")):
+        solved_lps.clear()
+        assert one(doc, f"member R {name}") == [answer]
+        assert [module for module, _ in solved_lps] == ["cones"]
+    assert doc.desirsets["R"]._m_r is None
+
+
 def _replay_committed(doc_path, keep):
     """Rerun the committed queries that ``keep`` selects and compare their
     answer blocks with the committed output; returns the blocks."""
@@ -494,13 +504,14 @@ def test_cross_space_condnatex_is_input_error(capsys):
 # pivot path, witness, optimum or Farkas vector of the benchmark's LPs shows
 # here.  vertex-ladder and augmented-cond were recorded before the
 # condensed-dictionary rewrite of the simplex.  fg-strict-batch was recorded
-# when fg previsions became scans of the cached M_R: its 372 cone LPs lost
-# the 120 residual LPs of `lowprev`/`upprev R`, the other 252 unchanged and
-# in order, and M_R's self-check added 3 degenerate-direction `credal` LPs.
+# when fg membership verdicts became scans of the cached M_R: its 252 cone
+# LPs lost the 90 LPs of plain `member R` and the 60 of `pref-holds`, the
+# other 102 unchanged and in order, and the self-check of `rel`'s M_R added
+# 3 degenerate-direction `credal` LPs to the 3 of `R`'s.
 _WORKLOAD_LPS = {
     "fg-strict-batch": (
-        255,
-        "b7e6cd45f8d83502ff44d0995dfa9fa2eb9076a901036ce0048e4bf6582a2e0c",
+        108,
+        "5f9848dd372347bbd5bc61a3406ef2dfc2c2b1e4caae2946c9fafe16bf5c4e61",
     ),
     "vertex-ladder": (
         701,

@@ -2,7 +2,6 @@ from fractions import Fraction as F
 
 import pytest
 
-import desir.credal
 from desir.cones import (
     AUGMENTED,
     DesirSet,
@@ -13,15 +12,17 @@ from desir.cones import (
     avoids_partial_loss,
     open_superset_witness,
 )
-from desir.credal import CredalSet
+from desir.credal import CredalSet, LinearPrevision
 from desir.errors import InputError, ModelError
-from desir.spaces import EventSet, Gamble, Space
+from desir.preferences import PreferenceRelation, from_desirset
+from desir.spaces import EventSet, Gamble, Space, pi1_inverse
 
-from conftest import lps_in, rand_gamble, rand_mass_row, rand_space
+from conftest import lps_in, rand_gamble, rand_lottery, rand_mass_row, rand_space
 from oracles import (
     augmented_contains_lp,
     augmented_open_conditional_sup,
     augmented_open_lp,
+    fg_contains_reference,
     open_superset_mix,
     positive_mix,
     residual_sup_free_lp,
@@ -803,7 +804,7 @@ def test_fg_previsions_scan_the_credal_projection(rng):
         assert d.credal_projection() is d.credal_projection()
 
 
-def test_fg_previsions_build_the_credal_projection_once(monkeypatch, solved_lps):
+def test_fg_previsions_build_the_credal_projection_once(enumerations, solved_lps):
     # 20 previsions on one enumerable fg set enumerate M_R once, on the
     # first query, and solve no cone LP
     space = Space(("a", "b", "c"), ("x", "y"))
@@ -813,19 +814,113 @@ def test_fg_previsions_build_the_credal_projection_once(monkeypatch, solved_lps)
         Gamble.of(space, [[-2, 1], [1, 1], [0, 0]]),
     ]
     d = DesirSet.from_generators(space, gens)
-    enumerations = []
-
-    def counting(*args, real=desir.credal.enumerate_vertices):
-        enumerations.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(desir.credal, "enumerate_vertices", counting)
     solved_lps.clear()
     for k in range(10):
         f = Gamble.of(space, [[k - 4, 1], [2, -k], [F(k, 3), -1]])
         assert d.lower_prevision(f) == -d.upper_prevision(-f)
     assert len(enumerations) == 1
     assert lps_in(solved_lps, "cones") == []
+
+
+def _rand_fg_or_cone(rng):
+    """(kind, set) on at most 3 x 3 cells with a worst outcome: the vacuous
+    set, 1-5 generators, or the cone of a bare relation; None on a draw
+    that incurs partial loss.  Half the generator draws are shifted to
+    expectation zero under a random full-support prevision."""
+    space = rand_space(rng)
+    kind = rng.choice(["vacuous", "one", "more", "more", "relation"])
+    if kind == "vacuous":
+        return kind, DesirSet.vacuous(space)
+    if kind == "relation":
+        pairs = [
+            (rand_lottery(rng, space, False), rand_lottery(rng, space, False))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if any(p == q for p, q in pairs):
+            return None
+        cone = PreferenceRelation.of(space, pairs, bare=True)._cone
+        return None if cone is None else (kind, cone)
+    prior = LinearPrevision(space, rand_mass_row(rng, space.n_cells))
+    gens = []
+    for _ in range(1 if kind == "one" else rng.randint(2, 5)):
+        g = rand_gamble(rng, space, lo=-3, hi=3, max_den=3)
+        if rng.random() < 0.5:
+            g = g - Gamble.constant(space, prior(g))
+        if not g.is_zero():
+            gens.append(g)
+    try:
+        return kind, DesirSet.from_generators(space, gens)
+    except ModelError:
+        return None
+
+
+def _fg_probes(rng, d):
+    """Zero, a positive and a nonpositive gamble, each generator,
+    nonnegative combinations of them plus a positive gamble, and random
+    gambles."""
+    space = d.space
+    probes = [Gamble.zero(space)]
+    probes += [
+        rand_gamble(rng, space, lo=0, hi=3),
+        rand_gamble(rng, space, lo=-3, hi=0),
+    ]
+    probes += list(d.generators)
+    for _ in range(2 if d.generators else 0):
+        combo = rand_gamble(rng, space, lo=0, hi=1, max_den=3)
+        for g in d.generators:
+            combo = combo + g.scale(F(rng.randint(0, 3), rng.randint(1, 3)))
+        probes.append(combo)
+    probes += [rand_gamble(rng, space, lo=-3, hi=3, max_den=3) for _ in range(3)]
+    return probes
+
+
+def _pair_for(space, f):
+    """z-lotteries p, q whose projected difference is a positive multiple
+    of f."""
+    pos = [[max(v, 0) for v in row] for row in f.values]
+    neg = [[max(-v, 0) for v in row] for row in f.values]
+    scale = max([F(1)] + [sum(row) for row in pos + neg])
+    return tuple(
+        pi1_inverse(Gamble.of(space, rows).scale(1 / scale)) for rows in (pos, neg)
+    )
+
+
+def test_fg_membership_scans_match_the_reference_cone_lp(rng):
+    # An enumerable fg set decides membership by f != 0 and
+    # lower_{M_R}(f) >= 0; the cone LP over the rays, solved by the
+    # reference simplex, agrees, and so does member() with its certificate.
+    # The conditional and marginal views and the relation oracle inherit
+    # the verdict.  Members with both signs and lower prevision zero, on
+    # the boundary of the cone, are where a strict inequality goes wrong.
+    counts = dict.fromkeys(("vacuous", "one", "more", "relation"), 0)
+    boundary = 0
+    while sum(counts.values()) < 200 or min(counts.values()) < 20:
+        drawn = _rand_fg_or_cone(rng)
+        if drawn is None:
+            continue
+        kind, d = drawn
+        counts[kind] += 1
+        m_r = d.credal_projection()
+        event = _rand_event(rng, d.space)
+        view = d.condition(event)
+        oracle = from_desirset(d)
+        for f in _fg_probes(rng, d):
+            want = fg_contains_reference(d.rays, f)
+            assert d.contains(f) == want == d.member(f).member, (d, f)
+            boundary += want and not f.is_positive() and m_r.lower(f) == 0
+            bf = f.restricted_to(event)
+            assert view.contains(f) == (f == bf and want)
+            assert view.contains(bf) == fg_contains_reference(d.rays, bf)
+            assert oracle.holds(*_pair_for(d.space, f)) == want
+        for keep in ("omega", "prizes"):
+            marginal = d.marginalize(keep)
+            for g in (
+                rand_gamble(rng, marginal.factor_space, lo=0, hi=2),
+                rand_gamble(rng, marginal.factor_space, lo=-3, hi=3, max_den=3),
+            ):
+                want = fg_contains_reference(d.rays, marginal.extend(g))
+                assert marginal.contains(g) == want
+    assert boundary >= 50, (counts, boundary)
 
 
 def test_augmented_queries_lp_counts(solved_lps):

@@ -185,18 +185,18 @@ def test_bare_relations_match_cone_oracles(rng):
     assert consistent >= 200 and queries >= 2000 and true_answers >= 200
 
 
-def test_bare_holds_solves_one_lp(solved_lps):
-    # consistency is settled once with the cached cone; a query is then one
-    # membership LP in the cone layer, and preferences solves none itself
+def test_bare_holds_scans_its_credal_projection(solved_lps, enumerations):
+    # consistency is settled once with the cached cone; the first query
+    # enumerates the cone's M_R once, and each query is then a vertex scan:
+    # no membership LP, and preferences solves none itself
     assert not hasattr(preferences, "solve")
     rel = ray_relation()
     assert rel.is_consistent()
     r = bare([[F(1, 2), 0, F(1, 2)]])
     s = bare([[0, F(1, 2), F(1, 2)]])
     solved_lps.clear()
-    assert rel.holds(r, s) and len(lps_in(solved_lps, "cones")) == 1
-    solved_lps.clear()
-    assert not rel.holds(s, r) and len(lps_in(solved_lps, "cones")) == 1
+    assert rel.holds(r, s) and not rel.holds(s, r)
+    assert lps_in(solved_lps, "cones") == [] and len(enumerations) == 1
 
 
 def test_dominates_examples():
